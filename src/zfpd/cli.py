@@ -16,7 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, TextIO
 
 from .graph import Graph, bits, is_tree
-from .families import generate, parse_edge_list, parse_graph6, write_graph6
+# parse_graph6 is unused here but stays a module attribute: perfbench/tracer.py
+# wraps cli.parse_graph6.
+from .families import generate, parse_edge_list, parse_graph6, read_graph6_lines, write_graph6  # noqa: F401
 from .invariants import (
     ParamResult,
     domination_number,
@@ -66,16 +68,7 @@ def _read_graphs(path: str, edgelist: bool) -> list[Graph]:
     if edgelist:
         g = parse_edge_list(lines)
         return [g] if g is not None else []
-    graphs = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            graphs.append(parse_graph6(line))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return graphs
+    return read_graph6_lines(lines)
 
 
 def _pick_format(requested: str | None) -> str:

@@ -1,17 +1,22 @@
 """Named graph families, graph6 round-tripping and small-graph enumeration.
 
 The enumeration side produces exactly one representative per isomorphism
-class of connected graphs, deduplicated through a canonical labeling: the
-lexicographically smallest upper-triangle adjacency bitstring over all
-vertex orderings.  The search for that minimum is pruned level by level, so
-it stays fast even on the symmetric graphs where trying all ``n!`` orderings
-would hurt.
+class of connected graphs (or trees).  Candidates are deduplicated by a
+complete isomorphism key computed by colour refinement and
+individualization; the first candidate of each new class is then relabeled
+by the canonical labeling, the lexicographically smallest upper-triangle
+adjacency bitstring over all vertex orderings, which also sorts the classes.
+That minimum is found by a search pruned level by level, so it stays fast
+even on the symmetric graphs where trying all ``n!`` orderings would hurt,
+but it is the costlier of the two and runs once per class, not per
+candidate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, bits
 
@@ -37,10 +42,11 @@ __all__ = [
     "enumerate_connected",
     "enumerate_trees",
     "MAX_BUILTIN_ORDER",
+    "MAX_TREE_ORDER",
 ]
 
 MAX_BUILTIN_ORDER = 8
-_MAX_TREE_ORDER = 12
+MAX_TREE_ORDER = 12
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,10 @@ def parse_edge_list(lines: Iterable[str]) -> Graph | None:
 # toward the j-th placed vertex, earliest placed vertex most significant).
 # Minimizing column by column is exact for a lexicographic objective, and
 # partial orderings with identical futures are merged, which collapses the
-# orbits of highly symmetric graphs.
+# orbits of highly symmetric graphs.  This key fixes every representative's
+# labels (hence its graph6 string) and the order of every universe, but
+# finding the minimum is the costly part of enumeration, so it runs once per
+# isomorphism class; deduplication and memo lookups use ``_iso_key`` below.
 
 
 def _canon(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -392,6 +401,20 @@ def _canon_cached(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     return _canon(adj)
 
 
+def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows after moving vertex ``order[i]`` to label ``i``."""
+    moved = [0] * len(adj)
+    for new, old in enumerate(order):
+        moved[old] = 1 << new
+    rows = []
+    for old in order:
+        row = 0
+        for w in bits(adj[old]):
+            row |= moved[w]
+        rows.append(row)
+    return tuple(rows)
+
+
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Isomorphism-invariant key: two graphs share it iff they are isomorphic."""
     return (g.n,) + _canon_cached(g.adj)[0]
@@ -404,13 +427,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabel ``g`` into its canonical form."""
-    order = canonical_permutation(g)
-    pos = {old: new for new, old in enumerate(order)}
-    rows = [0] * g.n
-    for old, new in pos.items():
-        for w in bits(g.adj[old]):
-            rows[new] |= 1 << pos[w]
-    return Graph.from_rows(rows)
+    return Graph.from_rows(_relabel(g.adj, canonical_permutation(g)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -418,14 +435,85 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# complete isomorphism key by individualization and refinement
+#
+# In the style of McKay and Piperno, "Practical graph isomorphism, II"
+# (arXiv:1301.1493).  Vertices start in cells by degree; ``_refine`` splits
+# cells until the partition is equitable, ordering the new cells by their
+# neighbour counts, so the ordered partition depends only on the graph.  A
+# partition with a non-singleton cell branches on each vertex of the first
+# smallest such cell; a twin of a vertex already tried gives the same leaves
+# (swapping the two is an automorphism fixing the partition) and is skipped.
+# Every discrete leaf orders the vertices, and the key is the smallest
+# relabelled adjacency tuple over all leaves.  Two graphs share the key iff
+# they are isomorphic; unlike ``canonical_key`` its order means nothing.
+
+
+def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    # A vertex's signature packs its neighbour count in each cell, first cell
+    # highest, into one int: counts stay below 1 << width.
+    width = len(adj).bit_length()
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                row = adj[v]
+                sig = 0
+                for m in masks:
+                    sig = sig << width | (row & m).bit_count()
+                groups.setdefault(sig, []).append(v)
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _search(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
+    if len(cells) == len(adj):
+        return _relabel(adj, [cell[0] for cell in cells])
+    at = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)[1]
+    best = None
+    tried: list[int] = []
+    for v in cells[at]:
+        row = adj[v]
+        if any(adj[u] & ~(1 << v) == row & ~(1 << u) for u in tried):
+            continue
+        tried.append(v)
+        rest = [w for w in cells[at] if w != v]
+        key = _search(adj, _refine(adj, cells[:at] + [[v], rest] + cells[at + 1 :]))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _iso_key(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Complete isomorphism invariant of the graph with adjacency rows ``adj``."""
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    return _search(adj, _refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive enumeration
 #
-# Connected graphs are grown one vertex at a time: every connected graph has
-# a vertex whose removal keeps it connected, so attaching a new last vertex
-# to each nonempty subset of every (n-1)-class reaches every n-class.
-
-_CONNECTED_CACHE: dict[int, tuple[Graph, ...]] = {}
-_TREE_CACHE: dict[int, tuple[Graph, ...]] = {}
+# Classes of order n are grown from the classes of order n - 1 by a candidate
+# generator.  Every connected graph has a vertex whose removal keeps it
+# connected, so attaching a new last vertex to each nonempty subset of every
+# (n-1)-class reaches every connected n-class; attaching a leaf to each
+# vertex does the same for trees.  Candidates are deduplicated by
+# ``_iso_key``; only the first candidate of each class pays for ``_canon``,
+# which gives the representative and the sort key.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -436,67 +524,39 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}, not {n}")
-    yield from _connected_classes(n)
-
-
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    got = _CONNECTED_CACHE.get(n)
-    if got is not None:
-        return got
-    if n == 1:
-        reps: dict[tuple, Graph] = {(): Graph(1)}
-    else:
-        reps = {}
-        new_bit = 1 << (n - 1)
-        for g in _connected_classes(n - 1):
-            base = g.adj
-            for nb in range(1, new_bit):
-                rows = [base[u] | new_bit if nb >> u & 1 else base[u] for u in range(n - 1)]
-                rows.append(nb)
-                adj = tuple(rows)
-                key, order = _canon(adj)
-                if key not in reps:
-                    pos = {old: new for new, old in enumerate(order)}
-                    crows = [0] * n
-                    for old, new in pos.items():
-                        for w in bits(adj[old]):
-                            crows[new] |= 1 << pos[w]
-                    reps[key] = Graph.from_rows(crows)
-    out = tuple(g for _, g in sorted(reps.items()))
-    _CONNECTED_CACHE[n] = out
-    return out
+    yield from _classes(n, _attach_vertex)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one canonical representative per tree isomorphism class of order ``n``."""
-    if not 1 <= n <= _MAX_TREE_ORDER:
-        raise ValueError(f"tree enumeration covers 1..{_MAX_TREE_ORDER}, not {n}")
-    yield from _tree_classes(n)
+    if not 1 <= n <= MAX_TREE_ORDER:
+        raise ValueError(f"tree enumeration covers 1..{MAX_TREE_ORDER}, not {n}")
+    yield from _classes(n, _attach_leaf)
 
 
-def _tree_classes(n: int) -> tuple[Graph, ...]:
-    got = _TREE_CACHE.get(n)
-    if got is not None:
-        return got
+def _attach_vertex(g: Graph) -> Iterator[tuple[int, ...]]:
+    new_bit = 1 << g.n
+    for nb in range(1, new_bit):
+        yield tuple([row | new_bit if nb >> u & 1 else row for u, row in enumerate(g.adj)]) + (nb,)
+
+
+def _attach_leaf(t: Graph) -> Iterator[tuple[int, ...]]:
+    for at in range(t.n):
+        rows = list(t.adj)
+        rows[at] |= 1 << t.n
+        rows.append(1 << at)
+        yield tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int, extend: Callable[[Graph], Iterator[tuple[int, ...]]]) -> tuple[Graph, ...]:
     if n == 1:
-        reps: dict[tuple, Graph] = {(): Graph(1)}
-    else:
-        reps = {}
-        new_bit = 1 << (n - 1)
-        for t in _tree_classes(n - 1):
-            base = t.adj
-            for attach in range(n - 1):
-                rows = [base[u] | new_bit if u == attach else base[u] for u in range(n - 1)]
-                rows.append(1 << attach)
-                adj = tuple(rows)
-                key, order = _canon(adj)
-                if key not in reps:
-                    pos = {old: new for new, old in enumerate(order)}
-                    crows = [0] * n
-                    for old, new in pos.items():
-                        for w in bits(adj[old]):
-                            crows[new] |= 1 << pos[w]
-                    reps[key] = Graph.from_rows(crows)
-    out = tuple(g for _, g in sorted(reps.items()))
-    _TREE_CACHE[n] = out
-    return out
+        return (Graph(1),)
+    reps: dict[tuple[int, ...], tuple[tuple[int, ...], Graph]] = {}
+    for g in _classes(n - 1, extend):
+        for adj in extend(g):
+            key = _iso_key(adj)
+            if key not in reps:
+                legacy, order = _canon(adj)
+                reps[key] = (legacy, Graph.from_rows(_relabel(adj, order)))
+    return tuple(g for _, g in sorted(reps.values(), key=itemgetter(0)))

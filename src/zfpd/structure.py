@@ -16,9 +16,10 @@ prefilter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import Graph, bits, induces_connected
-from .families import canonical_key, complete, complete_multipartite
+from .families import _iso_key, canonical_key, complete, complete_multipartite
 
 __all__ = ["MinorWitness", "has_minor", "is_outerplanar", "is_planar"]
 
@@ -26,6 +27,9 @@ _MAX_PATTERN = 6
 _PLANARITY_CAP = 12
 
 _MINOR_MEMO: dict[tuple, bool] = {}
+# Contracting different edges of one host often yields the same labelled
+# graph, so the memo's host key is cached on the adjacency rows.
+_host_key = lru_cache(maxsize=65536)(_iso_key)
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def _has_minor_bool(g: Graph, pattern: Graph, pat_key: tuple) -> bool:
         return True
     if g.n < pattern.n or g.m < pattern.m:
         return False
-    key = (canonical_key(g), pat_key)
+    key = (_host_key(g.adj), pat_key)
     got = _MINOR_MEMO.get(key)
     if got is not None:
         return got

@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 from .graph import Graph, bits, is_path, is_tree
 from .families import (
     MAX_BUILTIN_ORDER,
+    MAX_TREE_ORDER,
     complete,
     complete_multipartite,
     cycle,
@@ -46,8 +47,6 @@ from .propagation import is_power_dominating_set
 from .structure import is_outerplanar, is_planar
 
 __all__ = ["Failure", "VerifyReport", "Universe", "verify", "theorem_ids", "claim_of"]
-
-_MAX_TREE_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class Universe:
     def trees(self, n: int) -> list[Graph]:
         if n in self._by_order:
             return [g for g in self.connected(n) if is_tree(g)]
-        if n <= _MAX_TREE_ORDER:
+        if n <= MAX_TREE_ORDER:
             return list(enumerate_trees(n))
         raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
 
@@ -468,7 +467,7 @@ def _t6(run: _Run, u: Universe, cap: int) -> str:
     return f"complete multipartite part profiles of total order <= {cap}, one edge per part pair"
 
 
-@_verifier("T7", "tree power domination equals the spider partition number", 9, _MAX_TREE_ORDER)
+@_verifier("T7", "tree power domination equals the spider partition number", 9, MAX_TREE_ORDER)
 def _t7(run: _Run, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):

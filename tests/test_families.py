@@ -7,6 +7,7 @@ import pytest
 from zfpd.graph import Graph
 from zfpd.families import (
     MAX_BUILTIN_ORDER,
+    _iso_key,
     are_isomorphic,
     canonical_graph,
     canonical_key,
@@ -26,6 +27,7 @@ from zfpd.families import (
     wheel,
     write_graph6,
 )
+from zfpd.products import cartesian_product
 
 from oracles import brute_canonical_key, random_graph
 
@@ -210,6 +212,60 @@ def test_canonical_key_is_relabeling_invariant():
         assert canonical_graph(g) == canonical_graph(relabeled)
 
 
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _same_classes(graphs: list[Graph], key_a, key_b) -> None:
+    # Two keys induce the same partition iff equal a-keys pair with equal b-keys.
+    pairs = {(key_a(g), key_b(g)) for g in graphs}
+    assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
+
+
+def test_iso_key_matches_brute_force():
+    every_graph = []
+    for n in range(6):
+        all_pairs = list(combinations(range(n), 2))
+        for picks in range(1 << len(all_pairs)):
+            every_graph.append(Graph(n, [e for i, e in enumerate(all_pairs) if picks >> i & 1]))
+    _same_classes(every_graph, lambda g: _iso_key(g.adj), brute_canonical_key)
+    rng = random.Random(31)
+    sample = []
+    for _ in range(60):
+        g = random_graph(rng, 6, rng.random())
+        sample += [g, _relabeled(g, rng), g.complement()]
+    _same_classes(sample, lambda g: _iso_key(g.adj), brute_canonical_key)
+
+
+def test_iso_key_on_graphs_refinement_cannot_split():
+    # Vertex-transitive and other highly regular graphs leave refinement with
+    # large cells, so the key comes from the individualization search.
+    graphs = [complete(n) for n in range(1, 9)]
+    graphs += [cycle(n) for n in range(3, 13)]
+    graphs += [wheel(n) for n in range(4, 13)]
+    graphs += [complete_multipartite(p) for p in ((2, 2), (3, 3), (2, 2, 2), (4, 4), (2, 3, 3), (3, 3, 3), (4, 4, 4))]
+    k2 = complete(2)
+    graphs += [wagner_graph(), cartesian_product(cartesian_product(k2, k2)[0], k2)[0], cycle(8).complement()]
+    for n, d, seed in [(8, 3, 1), (8, 3, 2), (8, 4, 3), (10, 3, 4), (10, 3, 5), (10, 4, 6), (12, 3, 7), (12, 3, 8), (12, 5, 9)]:
+        r = nx.random_regular_graph(d, n, seed=seed)
+        graphs.append(Graph(n, r.edges()))
+    rng = random.Random(37)
+    for g in graphs:
+        assert _iso_key(g.adj) == _iso_key(_relabeled(g, rng).adj)
+    for g, h in combinations(graphs, 2):
+        if g.n == h.n and g.m == h.m:
+            assert (_iso_key(g.adj) == _iso_key(h.adj)) == nx.is_isomorphic(_to_nx(g), _to_nx(h))
+
+
+def test_iso_key_is_relabeling_invariant():
+    rng = random.Random(41)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        assert _iso_key(g.adj) == _iso_key(_relabeled(g, rng).adj)
+
+
 def test_are_isomorphic_examples():
     assert are_isomorphic(path(4).complement(), path(4))
     assert are_isomorphic(cycle(5).complement(), cycle(5))
@@ -269,3 +325,13 @@ def test_tree_counts():
         assert len(list(enumerate_trees(n))) == count
     for t in enumerate_trees(7):
         assert t.is_connected() and t.m == t.n - 1
+
+
+def test_enumeration_order_is_canonical():
+    # Universe order decides which witness T10 and T16 report first, so it is
+    # pinned here: canonical representatives in strictly increasing key order.
+    for universe in [enumerate_connected(n) for n in range(1, 8)] + [enumerate_trees(n) for n in range(1, 10)]:
+        reps = list(universe)
+        assert all(g == canonical_graph(g) for g in reps)
+        keys = [canonical_key(g) for g in reps]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
