@@ -18,7 +18,13 @@ from typing import Callable, TextIO
 from .graph import Graph, bits, is_tree
 # parse_graph6 is unused here but stays a module attribute: perfbench/tracer.py
 # wraps cli.parse_graph6.
-from .families import generate, parse_edge_list, parse_graph6, read_graph6_lines, write_graph6  # noqa: F401
+from .families import (  # noqa: F401
+    generate,
+    parse_edge_list,
+    parse_graph6,
+    read_graph6_lines,
+    write_graph6,
+)
 from .invariants import (
     ParamResult,
     domination_number,

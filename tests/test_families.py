@@ -245,12 +245,14 @@ def test_iso_key_on_graphs_refinement_cannot_split():
     graphs = [complete(n) for n in range(1, 9)]
     graphs += [cycle(n) for n in range(3, 13)]
     graphs += [wheel(n) for n in range(4, 13)]
-    graphs += [complete_multipartite(p) for p in ((2, 2), (3, 3), (2, 2, 2), (4, 4), (2, 3, 3), (3, 3, 3), (4, 4, 4))]
+    parts = [(2, 2), (3, 3), (2, 2, 2), (4, 4), (2, 3, 3), (3, 3, 3), (4, 4, 4)]
+    graphs += [complete_multipartite(p) for p in parts]
     k2 = complete(2)
-    graphs += [wagner_graph(), cartesian_product(cartesian_product(k2, k2)[0], k2)[0], cycle(8).complement()]
-    for n, d, seed in [(8, 3, 1), (8, 3, 2), (8, 4, 3), (10, 3, 4), (10, 3, 5), (10, 4, 6), (12, 3, 7), (12, 3, 8), (12, 5, 9)]:
-        r = nx.random_regular_graph(d, n, seed=seed)
-        graphs.append(Graph(n, r.edges()))
+    cube = cartesian_product(cartesian_product(k2, k2)[0], k2)[0]
+    graphs += [wagner_graph(), cube, cycle(8).complement()]
+    regular = [(8, 3), (8, 3), (8, 4), (10, 3), (10, 3), (10, 4), (12, 3), (12, 3), (12, 5)]
+    for seed, (n, d) in enumerate(regular, start=1):
+        graphs.append(Graph(n, nx.random_regular_graph(d, n, seed=seed).edges()))
     rng = random.Random(37)
     for g in graphs:
         assert _iso_key(g.adj) == _iso_key(_relabeled(g, rng).adj)
@@ -330,7 +332,9 @@ def test_tree_counts():
 def test_enumeration_order_is_canonical():
     # Universe order decides which witness T10 and T16 report first, so it is
     # pinned here: canonical representatives in strictly increasing key order.
-    for universe in [enumerate_connected(n) for n in range(1, 8)] + [enumerate_trees(n) for n in range(1, 10)]:
+    universes = [enumerate_connected(n) for n in range(1, 8)]
+    universes += [enumerate_trees(n) for n in range(1, 10)]
+    for universe in universes:
         reps = list(universe)
         assert all(g == canonical_graph(g) for g in reps)
         keys = [canonical_key(g) for g in reps]
