@@ -35,6 +35,7 @@ from .invariants import (
     zero_forcing_number,
 )
 from .products import amalgamate, cartesian_product, lexicographic_product
+from . import theorems
 from .theorems import theorem_ids, verify
 
 __all__ = ["main"]
@@ -110,7 +111,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             if reason is not None:
                 entry["skipped"][p] = reason
                 continue
-            res = _PARAMS[p][1](g)
+            try:
+                res = _PARAMS[p][1](g)
+            except ValueError as exc:  # the solver refuses input above its cap
+                entry["skipped"][p] = str(exc)
+                continue
             entry["params"][p] = {"value": res.value, "witness": _witness_json(res.witness)}
         entries.append(entry)
     payload = {"graphs": entries}
@@ -170,10 +175,6 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(tid: str, max_n: int | None, files: tuple[str, ...]):
-    return verify(tid, max_n=max_n, universe_files=files)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
     ids = theorem_ids() if wanted == ["all"] else wanted
@@ -188,10 +189,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.workers > 1 and len(ids) > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                futures = [pool.submit(_verify_one, t, args.max_n, files) for t in ids]
+                # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
+                futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe_files=files) for t in ids]
                 reports = [f.result() for f in futures]
         else:
-            reports = [_verify_one(t, args.max_n, files) for t in ids]
+            reports = [verify(t, max_n=args.max_n, universe_files=files) for t in ids]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import Graph, bits, is_tree, induces_connected, k_subsets
+from .graph import Graph, bits, connected_masks, is_tree, k_subsets
 from .propagation import ForceLog, closure, closure_with_log
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PATH_COVER_CAP = 24
+_SPIDER_CAP = 20
 
 Witness = Union[int, tuple[tuple[int, ...], ...]]
 
@@ -137,34 +138,21 @@ def diameter(g: Graph) -> int:
 
 def _induced_path_masks(g: Graph) -> list[int]:
     """Masks of all vertex sets inducing a path, single vertices included."""
-    found = {1 << v for v in range(g.n)}
-    stack = [(1 << v, v) for v in range(g.n)]
-    while stack:
-        mask, tail = stack.pop()
-        for w in bits(g.adj[tail] & ~mask):
-            # Extending keeps an induced path iff the new vertex sees only the tail.
-            if g.adj[w] & mask == 1 << tail:
-                grown = mask | 1 << w
-                found.add(grown)
-                stack.append((grown, w))
-    return sorted(found)
+    adj = g.adj
+
+    def extends_path(m: int, w: int) -> bool:
+        # The new vertex must see exactly one vertex of the path, an end of it.
+        rest = m ^ 1 << w
+        seen = adj[w] & rest
+        return not seen & seen - 1 and (adj[seen.bit_length() - 1] & rest).bit_count() <= 1
+
+    return connected_masks(g, extends_path)
 
 
-def _spider_masks(g: Graph) -> list[int]:
-    """Masks of connected vertex sets with at most one in-mask degree above two."""
-    out = []
-    for mask in range(1, 1 << g.n):
-        if not induces_connected(g, mask):
-            continue
-        heavy = 0
-        for v in bits(mask):
-            if (g.adj[v] & mask).bit_count() > 2:
-                heavy += 1
-                if heavy > 1:
-                    break
-        if heavy <= 1:
-            out.append(mask)
-    return out
+def _spider_masks(t: Graph) -> list[int]:
+    """Masks of the vertex sets inducing a spider in the tree ``t``."""
+    adj = t.adj
+    return connected_masks(t, lambda m, _: sum((adj[v] & m).bit_count() > 2 for v in bits(m)) <= 1)
 
 
 def _min_partition(g: Graph, parts: list[int]) -> tuple[int, list[int]]:
@@ -250,8 +238,14 @@ def is_spider(t: Graph) -> bool:
 
 
 def spider_number(t: Graph) -> ParamResult:
-    """Fewest parts of a vertex partition of a tree into spider-inducing sets."""
+    """Fewest parts of a vertex partition of a tree into spider-inducing sets.
+
+    Refuses trees above 20 vertices: a star of that order already has over
+    half a million candidate parts.
+    """
     if not is_tree(t):
         raise ValueError("the spider number is defined on trees only")
+    if t.n > _SPIDER_CAP:
+        raise ValueError(f"spider search is capped at {_SPIDER_CAP} vertices")
     value, masks = _min_partition(t, _spider_masks(t))
     return ParamResult(value, tuple(tuple(bits(q)) for q in masks))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, bits, induces_connected
+from .graph import Graph, bits, connected_masks, induces_connected
 from .families import _iso_key, canonical_key, complete, complete_multipartite
 
 __all__ = ["MinorWitness", "has_minor", "is_outerplanar", "is_planar"]
@@ -30,6 +30,11 @@ _MINOR_MEMO: dict[tuple, bool] = {}
 # Contracting different edges of one host often yields the same labelled
 # graph, so the memo's host key is cached on the adjacency rows.
 _host_key = lru_cache(maxsize=65536)(_iso_key)
+# (pattern, memo key) pairs of the forbidden minors, built once.
+_K4, _K23, _K5, _K33 = (
+    (p, canonical_key(p))
+    for p in (complete(4), complete_multipartite((2, 3)), complete(5), complete_multipartite((3, 3)))
+)
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,7 @@ def _has_minor_bool(g: Graph, pattern: Graph, pat_key: tuple) -> bool:
 def _find_witness(g: Graph, pattern: Graph) -> MinorWitness | None:
     if pattern.n == 0:
         return MinorWitness(())
-    connected_masks = sorted(
-        (m for m in range(1, 1 << g.n) if induces_connected(g, m)),
-        key=lambda m: (m.bit_count(), m),
-    )
+    parts = sorted(connected_masks(g), key=lambda m: (m.bit_count(), m))
     order = _subgraph_order(pattern)
     earlier = [
         [j for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
@@ -165,7 +167,7 @@ def _find_witness(g: Graph, pattern: Graph) -> MinorWitness | None:
         if i == pattern.n:
             return True
         budget = g.n - used.bit_count() - (pattern.n - i - 1)
-        for b in connected_masks:
+        for b in parts:
             if b.bit_count() > budget:
                 break
             if b & used:
@@ -202,31 +204,15 @@ def has_minor(g: Graph, pattern: Graph) -> MinorWitness | None:
     return witness
 
 
-def _k4() -> Graph:
-    return complete(4)
-
-
-def _k23() -> Graph:
-    return complete_multipartite((2, 3))
-
-
-def _k5() -> Graph:
-    return complete(5)
-
-
-def _k33() -> Graph:
-    return complete_multipartite((3, 3))
-
-
 def is_outerplanar(g: Graph) -> bool:
     """Forbidden-minor test: no complete-4 and no complete-bipartite-2-3 minor."""
     if g.n <= 3:
         return True
     if g.m > 2 * g.n - 3:
         return False
-    if _has_minor_bool(g, _k4(), canonical_key(_k4())):
+    if _has_minor_bool(g, *_K4):
         return False
-    return not _has_minor_bool(g, _k23(), canonical_key(_k23()))
+    return not _has_minor_bool(g, *_K23)
 
 
 def is_planar(g: Graph) -> bool:
@@ -240,6 +226,6 @@ def is_planar(g: Graph) -> bool:
         return True
     if g.m > 3 * g.n - 6:
         return False
-    if _has_minor_bool(g, _k5(), canonical_key(_k5())):
+    if _has_minor_bool(g, *_K5):
         return False
-    return not _has_minor_bool(g, _k33(), canonical_key(_k33()))
+    return not _has_minor_bool(g, *_K33)

@@ -32,6 +32,7 @@ from .families import (
     write_graph6,
 )
 from .invariants import (
+    _induced_path_masks,
     domination_number,
     find_power_dominating_set,
     find_zero_forcing_set,
@@ -160,7 +161,8 @@ def _pd_exists(g: Graph, k: int) -> bool:
 
 
 def _pd_at_most(g: Graph, k: int) -> bool:
-    return any(_pd_exists(g, j) for j in range(1, min(k, g.n) + 1))
+    # Closure is monotone, so a superset of a power dominating set is one too.
+    return _pd_exists(g, min(k, g.n))
 
 
 def _zf_exists(g: Graph, k: int) -> bool:
@@ -736,25 +738,17 @@ def _pendant_path_dominatable(h: Graph) -> bool:
     if _gamma_is_one(h):
         return True
     full = h.full_mask
-    for r in range(1, full):
+    for r in _induced_path_masks(h):
         rest = full & ~r
         if rest == 0:
             continue
-        sub = h.induced_subgraph(r)
-        if not is_path(sub):
-            continue
-        crossing = [
-            (v, w)
-            for v in bits(r)
-            for w in bits(h.adj[v] & rest)
-        ]
+        crossing = [(v, w) for v in bits(r) for w in bits(h.adj[v] & rest)]
         if len(crossing) != 1:
             continue
         anchor = crossing[0][0]
         if (h.adj[anchor] & r).bit_count() > 1:
             continue  # the single outside edge must leave a path endpoint
-        dmask = rest
-        if any(h.closed_neighbors(v) & dmask == dmask for v in bits(dmask)):
+        if any(h.closed_neighbors(v) & rest == rest for v in bits(rest)):
             return True
     return False
 

@@ -2,7 +2,7 @@ import json
 import pathlib
 
 from zfpd.cli import main
-from zfpd.families import are_isomorphic, parse_graph6, wheel, path
+from zfpd.families import are_isomorphic, parse_graph6, path, star, wheel, write_graph6
 from zfpd.products import cartesian_product
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verify_t1.json"
@@ -82,6 +82,23 @@ def test_compute_spider_needs_tree(capsys, tmp_path):
     assert code == 0
     entry = json.loads(out)["graphs"][0]
     assert "tree" in entry["skipped"]["spider"]
+
+
+def test_compute_skips_parameters_above_their_cap(capsys, tmp_path):
+    gpath = tmp_path / "big.g6"
+    gpath.write_text(f"{write_graph6(path(25))}\n{write_graph6(star(21))}\n", encoding="ascii")
+    code, out, _ = run(
+        capsys, "compute", "--input", str(gpath), "--params", "pathcover,spider", "--format", "json"
+    )
+    assert code == 0
+    p25, s21 = json.loads(out)["graphs"]
+    assert p25["params"] == {}
+    assert p25["skipped"] == {
+        "pathcover": "path cover search is capped at 24 vertices",
+        "spider": "spider search is capped at 20 vertices",
+    }
+    assert s21["skipped"] == {"spider": "spider search is capped at 20 vertices"}
+    assert s21["params"]["pathcover"]["value"] == 19
 
 
 def test_compute_edgelist_input(capsys, tmp_path):
@@ -175,3 +192,20 @@ def test_verify_workers_match_serial(capsys):
     for r in a["reports"] + b["reports"]:
         r.pop("elapsed_s")
     assert a == b
+
+
+def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
+    import zfpd.cli as cli
+
+    calls = []
+    plain = cli.verify
+
+    def wrapper(tid, **kwargs):  # a local function, which pickle cannot send to a worker
+        calls.append(tid)
+        return plain(tid, **kwargs)
+
+    monkeypatch.setattr(cli, "verify", wrapper)
+    code, _, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "4", "--format", "json", "--workers", "2")
+    assert code == 0 and calls == []
+    code, _, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "4", "--format", "json", "--workers", "1")
+    assert code == 0 and calls == ["T1", "T3"]

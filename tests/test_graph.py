@@ -1,13 +1,31 @@
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zfpd.graph import Graph, bits, mask_of, k_subsets, is_path, is_tree, induces_connected
-from zfpd.families import complete, cycle, path, star, complete_multipartite
+from zfpd.graph import (
+    Graph,
+    bits,
+    connected_masks,
+    mask_of,
+    k_subsets,
+    is_path,
+    is_tree,
+    induces_connected,
+)
+from zfpd.families import complete, cycle, enumerate_connected, enumerate_trees, path, star, complete_multipartite
+from zfpd.invariants import _induced_path_masks, _spider_masks
 
-from oracles import random_connected_graph, random_graph
+from oracles import (
+    _connected_subset,
+    _induces_path,
+    _induces_spider,
+    adj_sets,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_constructor_rejects_bad_edges():
@@ -165,6 +183,72 @@ def test_induces_connected():
     assert induces_connected(c6, mask_of([0, 1, 2]))
     assert not induces_connected(c6, mask_of([0, 2, 4]))
     assert not induces_connected(c6, 0)
+
+
+def _all_graphs(n: int):
+    """Every graph of order ``n`` up to isomorphism, as disjoint unions of connected ones."""
+    pool = [g for k in range(1, n + 1) for g in enumerate_connected(k)]
+
+    def unions(left: int, start: int):
+        if left == 0:
+            yield ()
+            return
+        for i in range(start, len(pool)):
+            if pool[i].n <= left:
+                for rest in unions(left - pool[i].n, i):
+                    yield (pool[i], *rest)
+
+    for parts in unions(n, 0):
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            offset += part.n
+        yield Graph(n, edges)
+
+
+def _random_tree(rng, n: int) -> Graph:
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)])
+
+
+def _brute(g, predicate):
+    adj = adj_sets(g)
+    return [m for m in range(1, 1 << g.n) if predicate(adj, set(bits(m)))]
+
+
+def test_all_graphs_helper_counts():
+    assert [sum(1 for _ in _all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+
+def test_connected_masks_match_brute_filter():
+    rng = random.Random(2024)
+    small = chain.from_iterable(_all_graphs(n) for n in range(1, 7))
+    sampled = [random_graph(rng, n, p) for n in range(7, 11) for p in (0.2, 0.35, 0.6)]
+    for g in chain(small, sampled):
+        assert connected_masks(g) == _brute(g, _connected_subset), g
+        assert _induced_path_masks(g) == _brute(g, _induces_path), g
+
+
+def test_spider_masks_match_brute_filter_on_trees():
+    rng = random.Random(7)
+    small = chain.from_iterable(enumerate_trees(n) for n in range(1, 7))
+    sampled = [_random_tree(rng, n) for n in range(7, 11) for _ in range(3)]
+    for t in chain(small, sampled):
+        assert _spider_masks(t) == _brute(t, _induces_spider), t
+
+
+def test_connected_masks_keep_gets_grown_set_and_new_vertex():
+    asked = []
+
+    def at_most_two(m: int, w: int) -> bool:
+        asked.append((m, w))
+        return m.bit_count() <= 2
+
+    pairs = [0b11, 0b110, 0b1100, 0b11000, 0b10001]
+    assert connected_masks(cycle(5), at_most_two) == sorted([1 << v for v in range(5)] + pairs)
+    assert asked and all(m >> w & 1 for m, w in asked)
+    assert connected_masks(Graph(0)) == []
 
 
 @given(st.integers(0, 7), st.data())

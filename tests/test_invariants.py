@@ -139,6 +139,9 @@ def test_solver_errors():
         spider_number(cycle(5))
     with pytest.raises(ValueError):
         path_cover_number(path(25))
+    with pytest.raises(ValueError, match="spider search is capped at 20 vertices"):
+        spider_number(star(21))
+    assert spider_number(path(20)).value == 1
 
 
 def test_oracle_equivalence_small():

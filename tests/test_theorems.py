@@ -1,9 +1,9 @@
 import pytest
 
-from zfpd.families import h_graph, parse_graph6, wagner_graph, write_graph6, canonical_graph
+from zfpd.families import enumerate_connected, h_graph, parse_graph6, wagner_graph, write_graph6, canonical_graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
-from zfpd.theorems import Universe, claim_of, theorem_ids, verify
+from zfpd.theorems import Universe, _pd_at_most, claim_of, theorem_ids, verify
 
 H_GRAPH_G6 = write_graph6(canonical_graph(h_graph()))
 
@@ -166,3 +166,11 @@ def test_verify_with_universe_file(tmp_path):
     report = verify("T1", max_n=8, universe_files=[str(fname)])
     assert report.passed
     assert report.checked == 996 + 1
+
+
+def test_pd_at_most_agrees_with_power_domination_number():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            gp = power_domination_number(g).value
+            for k in (1, 2, 3):
+                assert _pd_at_most(g, k) == (gp <= k), (write_graph6(g), k)
