@@ -20,7 +20,6 @@ from .propagation import (
 )
 from .invariants import (
     ParamResult,
-    diameter,
     domination_number,
     is_spider,
     path_cover_number,

@@ -244,29 +244,19 @@ def parse_graph6(text: str) -> Graph:
         got = len(s) - at
         kind = "truncated" if got < need else "oversized"
         raise ValueError(f"{kind} payload: expected {need} data bytes, found {got}")
+    # One "0"/"1" flag per payload bit; a big int would be copied per shift.
+    flags = "".join(f"{ord(ch) - 63:06b}" for ch in s[at:])
+    if "1" in flags[pairs:]:
+        raise ValueError("nonzero padding bits")
     rows = [0] * n
     idx = 0
-    for ch in s[at:]:
-        group = ord(ch) - 63
-        for k in range(5, -1, -1):
-            bit = group >> k & 1
-            if idx < pairs:
-                if bit:
-                    row, col = _pair_at(idx)
-                    rows[row] |= 1 << col
-                    rows[col] |= 1 << row
-            elif bit:
-                raise ValueError("nonzero padding bits")
+    for col in range(1, n):
+        for row in range(col):
+            if flags[idx] == "1":
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
             idx += 1
     return Graph.from_rows(rows)
-
-
-def _pair_at(idx: int) -> tuple[int, int]:
-    # Upper-triangle bit positions run (0,1), (0,2), (1,2), (0,3), ...
-    col = 1
-    while col * (col + 1) // 2 <= idx:
-        col += 1
-    return idx - col * (col - 1) // 2, col
 
 
 def _encode_order(n: int) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "total_domination_number",
     "path_cover_number",
     "spider_number",
-    "diameter",
     "is_spider",
     "find_zero_forcing_set",
     "find_power_dominating_set",
@@ -86,15 +85,10 @@ def zero_forcing_number(g: Graph) -> ParamResult:
     raise AssertionError("unreachable: the full vertex set always forces")
 
 
-def power_domination_number(g: Graph, upper_bound: int | None = None) -> ParamResult:
-    """Minimum size of a power dominating set, with witness and force log.
-
-    ``upper_bound`` (for instance a known domination or zero forcing number)
-    only caps the search; the ascending sweep makes it safe.
-    """
+def power_domination_number(g: Graph) -> ParamResult:
+    """Minimum size of a power dominating set, with witness and force log."""
     _require_connected(g, "the power domination number")
-    cap = g.n if upper_bound is None else min(upper_bound, g.n)
-    for k in range(1, cap + 1):
+    for k in range(1, g.n + 1):
         m = find_power_dominating_set(g, k)
         if m is not None:
             _, log = closure_with_log(g, g.closed_neighborhood(m))
@@ -125,11 +119,6 @@ def total_domination_number(g: Graph) -> ParamResult:
             if g.open_neighborhood(m) == full:
                 return ParamResult(k, m)
     raise AssertionError("unreachable: a connected graph on >= 2 vertices has one")
-
-
-def diameter(g: Graph) -> int:
-    """Largest pairwise distance; errors on disconnected input."""
-    return g.diameter()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Minor containment for small patterns and the derived planarity predicates.
 
 A pattern is a minor exactly when some sequence of edge contractions of the
-host contains the pattern as a subgraph, so the boolean engine walks the
-contraction closure, memoized on canonical forms (contractions of different
-hosts coincide a lot, which is what makes sweeping hundreds of graphs cheap).
-Witnesses come from a separate branch-set search that only runs once the
-boolean engine says the minor exists.
+host contains the pattern as a subgraph, so the engine walks the contraction
+closure, memoized on isomorphism classes (contractions of different hosts
+coincide a lot, which is what makes sweeping hundreds of graphs cheap).
+Witnesses come from the same engine: once it accepts a host, following its
+accepted contractions down to a host that embeds the pattern, while tracking
+which original vertices each merged vertex stands for, yields branch sets.
 
 Both planarity predicates ride on the same engine: outerplanarity excludes
 complete-4 and complete-bipartite-2-3 minors, planarity excludes complete-5
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, bits, connected_masks, induces_connected
+from .graph import Graph, bits, induces_connected
 from .families import _iso_key, canonical_key, complete, complete_multipartite
 
 __all__ = ["MinorWitness", "has_minor", "is_outerplanar", "is_planar"]
@@ -82,35 +83,34 @@ def _subgraph_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _contains_subgraph(host: Graph, pattern: Graph) -> bool:
-    """True iff ``pattern`` maps injectively into ``host`` preserving edges."""
+def _embed(host: Graph, pattern: Graph) -> list[int] | None:
+    """Host vertex of each pattern vertex under an injective edge-preserving
+    map, or ``None`` if there is no such map."""
     if pattern.n > host.n or pattern.m > host.m:
-        return False
-    if pattern.n == 0:
-        return True
+        return None
     order = _subgraph_order(pattern)
     earlier = [
-        [j for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
+        [order[j] for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
         for i in range(pattern.n)
     ]
     degs = [pattern.adj[v].bit_count() for v in order]
-    assign = [0] * pattern.n
+    at = [0] * pattern.n
 
     def place(i: int, used: int) -> bool:
         if i == pattern.n:
             return True
         cand = host.full_mask & ~used
-        for j in earlier[i]:
-            cand &= host.adj[assign[j]]
+        for p in earlier[i]:
+            cand &= host.adj[at[p]]
         for hv in bits(cand):
             if host.adj[hv].bit_count() < degs[i]:
                 continue
-            assign[i] = hv
+            at[order[i]] = hv
             if place(i + 1, used | 1 << hv):
                 return True
         return False
 
-    return place(0, 0)
+    return at if place(0, 0) else None
 
 
 def _contract(g: Graph, u: int, v: int) -> Graph:
@@ -138,7 +138,7 @@ def _has_minor_bool(g: Graph, pattern: Graph, pat_key: tuple) -> bool:
     got = _MINOR_MEMO.get(key)
     if got is not None:
         return got
-    if _contains_subgraph(g, pattern):
+    if _embed(g, pattern) is not None:
         _MINOR_MEMO[key] = True
         return True
     found = False
@@ -151,57 +151,37 @@ def _has_minor_bool(g: Graph, pattern: Graph, pat_key: tuple) -> bool:
     return found
 
 
-def _find_witness(g: Graph, pattern: Graph) -> MinorWitness | None:
-    if pattern.n == 0:
-        return MinorWitness(())
-    parts = sorted(connected_masks(g), key=lambda m: (m.bit_count(), m))
-    order = _subgraph_order(pattern)
-    earlier = [
-        [j for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
-        for i in range(pattern.n)
-    ]
-    chosen: list[int] = [0] * pattern.n
-    reach: list[int] = [0] * pattern.n  # host neighborhood of each chosen set
-
-    def place(i: int, used: int) -> bool:
-        if i == pattern.n:
-            return True
-        budget = g.n - used.bit_count() - (pattern.n - i - 1)
-        for b in parts:
-            if b.bit_count() > budget:
+def _find_witness(g: Graph, pattern: Graph, pat_key: tuple) -> MinorWitness:
+    """Branch sets for a host the engine accepts: contract accepted edges
+    until the pattern embeds; ``branch[w]`` holds the original vertices that
+    current vertex ``w`` stands for."""
+    branch = [1 << v for v in range(g.n)]
+    while (at := _embed(g, pattern)) is None:
+        # The memo is keyed on isomorphism classes, so an accepted host that
+        # does not embed the pattern has an accepted contraction.
+        for u, v in g.edges():
+            h = _contract(g, u, v)
+            if _has_minor_bool(h, pattern, pat_key):
+                g = h
+                branch[u] |= branch.pop(v)  # u < v, as in _contract
                 break
-            if b & used:
-                continue
-            if any(not reach[j] & b for j in earlier[i]):
-                continue
-            chosen[i] = b
-            reach[i] = g.open_neighborhood(b)
-            if place(i + 1, used | b):
-                return True
-        return False
-
-    if not place(0, 0):
-        return None
-    by_vertex = [0] * pattern.n
-    for pos, pv in enumerate(order):
-        by_vertex[pv] = chosen[pos]
-    return MinorWitness(tuple(by_vertex))
+        else:
+            raise AssertionError("minor engine accepted a host with no accepted contraction")
+    return MinorWitness(tuple(branch[at[p]] for p in range(pattern.n)))
 
 
 def has_minor(g: Graph, pattern: Graph) -> MinorWitness | None:
     """Branch-set witness if ``pattern`` is a minor of ``g``, else ``None``.
 
-    Patterns are capped at order 6; the witness search is exponential in the
-    pattern size.
+    Patterns are capped at order 6: embedding the pattern backtracks over the
+    host vertices once per pattern vertex.
     """
     if pattern.n > _MAX_PATTERN:
         raise ValueError(f"minor patterns are capped at order {_MAX_PATTERN}")
-    if not _has_minor_bool(g, pattern, canonical_key(pattern)):
+    pat_key = canonical_key(pattern)
+    if not _has_minor_bool(g, pattern, pat_key):
         return None
-    witness = _find_witness(g, pattern)
-    if witness is None:
-        raise AssertionError("boolean engine and witness search disagree")
-    return witness
+    return _find_witness(g, pattern, pat_key)
 
 
 def is_outerplanar(g: Graph) -> bool:

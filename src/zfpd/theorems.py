@@ -97,14 +97,14 @@ class Universe:
 
     def __init__(self, files: Iterable[str] = ()) -> None:
         self._by_order: dict[int, list[Graph]] = {}
-        self._names: dict[int, str] = {}
+        self._names: dict[int, dict[str, None]] = {}
         for fname in files:
             with open(fname, encoding="ascii") as fh:
                 graphs = read_graph6_lines(fh)
             base = os.path.basename(fname)
             for g in graphs:
                 self._by_order.setdefault(g.n, []).append(g)
-                self._names[g.n] = base
+                self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
 
     def connected(self, n: int) -> list[Graph]:
         if n in self._by_order:
@@ -124,7 +124,7 @@ class Universe:
         raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
 
     def source(self, n: int) -> str:
-        return self._names.get(n, "built-in")
+        return ", ".join(self._names.get(n, ["built-in"]))
 
     def has_file_for(self, n: int) -> bool:
         return n in self._by_order

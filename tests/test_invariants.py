@@ -16,7 +16,6 @@ from zfpd.families import (
     wheel,
 )
 from zfpd.invariants import (
-    diameter,
     domination_number,
     is_spider,
     path_cover_number,
@@ -63,11 +62,6 @@ def test_power_domination_family_values():
     assert power_domination_number(h_graph()).value == 2
     assert power_domination_number(complete_multipartite((3, 4))).value == 2
     assert power_domination_number(complete_multipartite((2, 6))).value == 1
-
-
-def test_power_domination_upper_bound_argument():
-    hg = h_graph()
-    assert power_domination_number(hg, upper_bound=3).value == 2
 
 
 def test_path_cover_values():
@@ -117,9 +111,9 @@ def test_spider_witness_parts_induce_spiders():
 
 
 def test_diameter_values():
-    assert diameter(complete(6)) == 1
-    assert diameter(cycle(8)) == 4
-    assert diameter(path(6)) == 5
+    assert complete(6).diameter() == 1
+    assert cycle(8).diameter() == 4
+    assert path(6).diameter() == 5
 
 
 def test_solver_errors():
@@ -151,7 +145,7 @@ def test_oracle_equivalence_small():
             assert power_domination_number(g).value == naive_power_domination(g)
             assert domination_number(g).value == naive_domination(g)
             assert path_cover_number(g).value == naive_path_cover(g)
-            assert diameter(g) == naive_diameter(g)
+            assert g.diameter() == naive_diameter(g)
             if n >= 2:
                 assert total_domination_number(g).value == naive_total_domination(g)
             if is_tree(g):

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from zfpd.graph import Graph
@@ -91,3 +92,27 @@ def test_outerplanar_implies_planar_and_edge_bounds():
                 assert g.n < 2 or g.m <= 2 * g.n - 3
             if planar and g.n >= 3:
                 assert g.m <= 3 * g.n - 6
+
+
+def test_planarity_and_witnesses_against_networkx():
+    # networkx's planarity test is the oracle; G plus an apex vertex is planar
+    # exactly when G is outerplanar.
+    outer_pats = [complete(4), complete_multipartite((2, 3))]
+    planar_pats = [complete(5), complete_multipartite((3, 3))]
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            nxg = nx.Graph(g.edges())
+            nxg.add_nodes_from(range(g.n))
+            planar = nx.check_planarity(nxg)[0]
+            nxg.add_edges_from((g.n, v) for v in range(g.n))
+            outer = nx.check_planarity(nxg)[0]
+            assert is_planar(g) == planar, g
+            assert is_outerplanar(g) == outer, g
+            found = []
+            for pat in outer_pats + planar_pats:
+                w = has_minor(g, pat)
+                if w is not None:
+                    w.validate(g, pat)
+                found.append(w is not None)
+            assert outer == (not any(found[:2])), g
+            assert planar == (not any(found[2:])), g

@@ -1,6 +1,6 @@
 import pytest
 
-from zfpd.families import enumerate_connected, h_graph, parse_graph6, wagner_graph, write_graph6, canonical_graph
+from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_graph6, wagner_graph, write_graph6, canonical_graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
 from zfpd.theorems import Universe, _pd_at_most, claim_of, theorem_ids, verify
@@ -158,6 +158,14 @@ def test_universe_files_override_orders(tmp_path):
     assert len(u.connected(8)) == 1  # only the Wagner graph has order 8
     assert u.source(8) == "n8.g6"
     assert len(u.connected(3)) == 2  # smaller orders still come from the built-in
+    # a second file for the same order adds its graphs and its name; a name is listed once
+    a, b = tmp_path / "a.g6", tmp_path / "b.g6"
+    a.write_text(write_graph6(wagner_graph()) + "\n", encoding="ascii")
+    b.write_text(write_graph6(cycle(8)) + "\n" + write_graph6(complete(5)) + "\n", encoding="ascii")
+    u = Universe([str(a), str(b), str(a)])
+    assert len(u.connected(8)) == 3  # the Wagner graph twice, then the 8-cycle
+    assert u.source(8) == "a.g6, b.g6"
+    assert u.source(5) == "b.g6"
 
 
 def test_verify_with_universe_file(tmp_path):
