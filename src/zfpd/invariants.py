@@ -2,19 +2,24 @@
 
 Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
-always the smallest-bitmask minimum set.  The searches are plain exhaustive
-sweeps over ``k``-subsets; the only shortcuts are safe bounds (a zero
-forcing set can never beat the minimum degree, a total dominating set never
-has fewer than two vertices), which the tests exercise against unpruned
-reference implementations.
+always the smallest-bitmask minimum set.  The four set-valued solvers share
+one ``k``-subset search, ``_first_subset``, which carries the union of the
+chosen vertices' rows down its recursion.  Its shortcuts never change the
+answer: a zero forcing set can never beat the minimum degree, a total
+dominating set never has fewer than two vertices, and the domination
+searches skip a branch whose union cannot cover every vertex even with all
+the rows still available to it.  The tests compare every solver with
+unpruned reference sweeps.  A size ``k`` with more than 1,000,000 subsets of
+``n`` vertices is refused with a ``ValueError`` rather than swept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from math import comb
+from typing import Optional, Sequence, Union
 
-from .graph import Graph, bits, connected_masks, is_tree, k_subsets
+from .graph import Graph, bits, connected_masks, is_tree
 from .propagation import ForceLog, closure, closure_with_log
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
 
 _PATH_COVER_CAP = 24
 _SPIDER_CAP = 20
+_SUBSET_CAP = 1_000_000
 
 Witness = Union[int, tuple[tuple[int, ...], ...]]
 
@@ -55,22 +61,60 @@ def _require_connected(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a nonempty connected graph")
 
 
+def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: str) -> Optional[int]:
+    """Smallest ``k``-subset mask whose union of ``rows`` covers ``g``, if any.
+
+    With ``forcing`` the union need only force the whole graph (its closure
+    covers it).  The top vertex ``t`` runs upward and the rest are chosen
+    below ``t`` the same way, which is ascending numeric order, so the first
+    hit is the smallest such mask.  Each level ORs in one row.  Without
+    ``forcing`` a branch whose union cannot reach every vertex even with all
+    rows below ``t`` is skipped; no subset in it covers, so the hit is the same.
+    """
+    n = g.n
+    if k < 0 or k > n:
+        return None
+    if comb(n, k) > _SUBSET_CAP:
+        raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
+    full = g.full_mask
+    below = [0] * n
+    for t in range(1, n):
+        below[t] = below[t - 1] | rows[t - 1]
+
+    def search(j: int, hi: int, union: int, chosen: int) -> Optional[int]:
+        # Choose the ``j`` remaining vertices from ``range(hi)``.
+        if j == 1:
+            for t in range(hi):
+                u = union | rows[t]
+                if (closure(g, u) if forcing else u) == full:
+                    return chosen | 1 << t
+            return None
+        for t in range(j - 1, hi):
+            u = union | rows[t]
+            if not forcing and u | below[t] != full:
+                continue
+            hit = search(j - 1, t, u, chosen | 1 << t)
+            if hit is not None:
+                return hit
+        return None
+
+    if k == 0:
+        return 0 if (closure(g, 0) if forcing else 0) == full else None
+    return search(k, n, 0, 0)
+
+
 def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
     """Smallest-bitmask zero forcing set of size exactly ``k``, if one exists."""
-    full = g.full_mask
-    for m in k_subsets(g.n, k):
-        if closure(g, m) == full:
-            return m
-    return None
+    return _first_subset(g, [1 << v for v in range(g.n)], k, True, "zero forcing")
+
+
+def _closed_rows(g: Graph) -> list[int]:
+    return [row | 1 << v for v, row in enumerate(g.adj)]
 
 
 def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     """Smallest-bitmask power dominating set of size exactly ``k``, if one exists."""
-    full = g.full_mask
-    for m in k_subsets(g.n, k):
-        if closure(g, g.closed_neighborhood(m)) == full:
-            return m
-    return None
+    return _first_subset(g, _closed_rows(g), k, True, "power domination")
 
 
 def zero_forcing_number(g: Graph) -> ParamResult:
@@ -99,11 +143,11 @@ def power_domination_number(g: Graph) -> ParamResult:
 def domination_number(g: Graph) -> ParamResult:
     """Minimum size of a dominating set."""
     _require_connected(g, "the domination number")
-    full = g.full_mask
+    rows = _closed_rows(g)
     for k in range(1, g.n + 1):
-        for m in k_subsets(g.n, k):
-            if g.closed_neighborhood(m) == full:
-                return ParamResult(k, m)
+        m = _first_subset(g, rows, k, False, "domination")
+        if m is not None:
+            return ParamResult(k, m)
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
@@ -112,12 +156,11 @@ def total_domination_number(g: Graph) -> ParamResult:
     _require_connected(g, "the total domination number")
     if g.n == 1:
         raise ValueError("total domination is undefined on a single vertex")
-    full = g.full_mask
     # No vertex neighbors itself, so a single vertex never totally dominates.
     for k in range(2, g.n + 1):
-        for m in k_subsets(g.n, k):
-            if g.open_neighborhood(m) == full:
-                return ParamResult(k, m)
+        m = _first_subset(g, g.adj, k, False, "total domination")
+        if m is not None:
+            return ParamResult(k, m)
     raise AssertionError("unreachable: a connected graph on >= 2 vertices has one")
 
 
@@ -141,7 +184,17 @@ def _induced_path_masks(g: Graph) -> list[int]:
 def _spider_masks(t: Graph) -> list[int]:
     """Masks of the vertex sets inducing a spider in the tree ``t``."""
     adj = t.adj
-    return connected_masks(t, lambda m, _: sum((adj[v] & m).bit_count() > 2 for v in bits(m)) <= 1)
+
+    def extends_spider(m: int, w: int) -> bool:
+        # The set without ``w`` is a spider and, in a tree, ``w`` sees exactly one
+        # vertex ``u`` of it; only ``u`` gains in-set degree, so a second branch
+        # vertex can appear only when ``u`` has just reached degree 3.
+        u = (adj[w] & m).bit_length() - 1
+        if (adj[u] & m).bit_count() != 3:
+            return True
+        return all((adj[v] & m).bit_count() <= 2 for v in bits(m ^ 1 << u))
+
+    return connected_masks(t, extends_spider)
 
 
 def _min_partition(g: Graph, parts: list[int]) -> tuple[int, list[int]]:

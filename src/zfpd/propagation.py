@@ -28,18 +28,29 @@ def _check_subset(g: Graph, mask: int) -> None:
 
 
 def closure(g: Graph, black: int) -> int:
-    """Fixed point of the color-change rule starting from ``black``."""
+    """Fixed point of the color-change rule starting from ``black``.
+
+    A worklist of live black vertices: a live vertex with at most one white
+    neighbor forces it, if it has one, and retires for good, since white
+    neighborhoods only shrink.  Vertices forced in a pass are live in the
+    next; a pass that forces nothing ends the loop.
+    """
     _check_subset(g, black)
     adj = g.adj
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(black):
-            white = adj[v] & ~black
-            if white and white & white - 1 == 0:
+    live = black
+    while True:
+        before = black
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            white = adj[low.bit_length() - 1] & ~black
+            if not white & white - 1:
                 black |= white
-                changed = True
-    return black
+                live ^= low
+        if black == before:
+            return black
+        live |= black ^ before
 
 
 @dataclass(frozen=True)

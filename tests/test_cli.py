@@ -99,6 +99,15 @@ def test_compute_skips_parameters_above_their_cap(capsys, tmp_path):
     }
     assert s21["skipped"] == {"spider": "spider search is capped at 20 vertices"}
     assert s21["params"]["pathcover"]["value"] == 19
+    gpath.write_text(f"{write_graph6(path(60))}\n", encoding="ascii")
+    code, out, _ = run(capsys, "compute", "--input", str(gpath), "--params", "zf,pd,dom,tdom", "--format", "json")
+    assert code == 0
+    (p60,) = json.loads(out)["graphs"]
+    assert p60["params"] == {"zf": {"value": 1, "witness": [0]}, "pd": {"value": 1, "witness": [0]}}
+    assert p60["skipped"] == {
+        "dom": "domination search is capped at 1000000 subsets of one size",
+        "tdom": "total domination search is capped at 1000000 subsets of one size",
+    }
 
 
 def test_compute_edgelist_input(capsys, tmp_path):

@@ -27,6 +27,9 @@ from zfpd.invariants import (
 from zfpd.propagation import is_power_dominating_set, is_zero_forcing_set
 
 from oracles import (
+    adj_sets,
+    closed_nbhd_sets,
+    closure_sets,
     naive_diameter,
     naive_domination,
     naive_path_cover,
@@ -34,6 +37,7 @@ from oracles import (
     naive_spider_number,
     naive_total_domination,
     naive_zero_forcing,
+    random_connected_graph,
 )
 
 
@@ -135,6 +139,8 @@ def test_solver_errors():
         path_cover_number(path(25))
     with pytest.raises(ValueError, match="spider search is capped at 20 vertices"):
         spider_number(star(21))
+    with pytest.raises(ValueError, match="domination search is capped at 1000000 subsets of one size"):
+        domination_number(path(60))
     assert spider_number(path(20)).value == 1
 
 
@@ -181,6 +187,45 @@ def test_witness_is_smallest_mask_of_minimum_size():
             if m >= pres.witness:
                 break
             assert not is_power_dominating_set(g, m)
+        dres = domination_number(g)
+        for m in k_subsets(g.n, dres.value):
+            if m >= dres.witness:
+                break
+            assert g.closed_neighborhood(m) != g.full_mask
+        tres = total_domination_number(g)
+        for m in k_subsets(g.n, tres.value):
+            if m >= tres.witness:
+                break
+            assert g.open_neighborhood(m) != g.full_mask
+
+
+def _first_hit(g, start, holds):
+    """First ``(k, mask)`` in (size, mask) order whose vertex list satisfies ``holds``."""
+    for k in range(start, g.n + 1):
+        for m in k_subsets(g.n, k):
+            if holds([v for v in range(g.n) if m >> v & 1]):
+                return k, m
+    raise AssertionError("no subset qualifies")
+
+
+def test_solvers_match_first_hit_sweep():
+    # Sparse graphs make the domination prune fire; the oracle sweeps every
+    # subset with the set-based predicates and keeps the first hit.
+    rng = random.Random(59)
+    for n in range(8, 15):
+        for p in (0.0, 0.1, 0.25):
+            g = random_connected_graph(rng, n, p)
+            adj = adj_sets(g)
+            verts = set(range(g.n))
+            cases = [
+                (zero_forcing_number, 1, lambda s: closure_sets(g, s) == verts),
+                (power_domination_number, 1, lambda s: closure_sets(g, closed_nbhd_sets(g, s)) == verts),
+                (domination_number, 1, lambda s: closed_nbhd_sets(g, s) == verts),
+                (total_domination_number, 2, lambda s: set().union(*(adj[v] for v in s)) == verts),
+            ]
+            for solver, start, holds in cases:
+                res = solver(g)
+                assert (res.value, res.witness) == _first_hit(g, start, holds), (solver.__name__, g)
 
 
 def test_min_degree_bound_is_safe():

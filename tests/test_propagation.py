@@ -89,6 +89,12 @@ def test_closure_matches_set_oracle():
         start = rng.randrange(1 << g.n)
         expect = mask_of(closure_sets(g, [v for v in range(g.n) if start >> v & 1]))
         assert closure(g, start) == expect
+    # Larger sparse graphs from small starting sets, so forcing runs long chains.
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(10, 16), rng.random() * 0.4)
+        start = mask_of(v for v in range(g.n) if rng.random() < 0.3)
+        expect = mask_of(closure_sets(g, [v for v in range(g.n) if start >> v & 1]))
+        assert closure(g, start) == expect
 
 
 def test_closure_properties_random():
