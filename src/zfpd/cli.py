@@ -36,7 +36,7 @@ from .invariants import (
 )
 from .products import amalgamate, cartesian_product, lexicographic_product
 from . import theorems
-from .theorems import theorem_ids, verify
+from .theorems import Universe, theorem_ids, verify
 
 __all__ = ["main"]
 
@@ -70,7 +70,7 @@ def _witness_json(witness) -> list:
 
 
 def _read_graphs(path: str, edgelist: bool) -> list[Graph]:
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="latin-1") as fh:  # every byte decodes; the parsers name the bad line
         lines = fh.readlines()
     if edgelist:
         g = parse_edge_list(lines)
@@ -185,15 +185,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: unknown theorem id {t!r}", file=sys.stderr)
         print(f"known ids: {', '.join(theorem_ids())}", file=sys.stderr)
         return 2
-    files = tuple(args.universe or ())
     try:
+        universe = Universe(args.universe or ())
         if args.workers > 1 and len(ids) > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
-                futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe_files=files) for t in ids]
+                futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
                 reports = [f.result() for f in futures]
         else:
-            reports = [verify(t, max_n=args.max_n, universe_files=files) for t in ids]
+            reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

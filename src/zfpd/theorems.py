@@ -5,13 +5,20 @@ A verifier never patches a claim it finds false: failures land in the report
 together with enough context to replay them standalone.  Bounded existence
 searches (T9, T16) report either a re-checked witness or an explicit
 "no witness up to the cap" note; both outcomes are valid.
+
+``verify(tid, universe=u)`` draws every graph from ``u``.  Pass one
+``Universe`` to every verifier of a run: its files are parsed once, when it
+is built, and a built-in order is enumerated once, on first use, so a
+report's ``elapsed_s`` excludes file parsing and includes enumeration.  A
+``Universe`` pickles, so pool workers can be sent it.  ``universe=None``
+means the built-in enumeration alone.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graph import Graph, bits, is_path, is_tree
@@ -62,17 +69,28 @@ class Failure:
 
 @dataclass
 class VerifyReport:
+    """One verifier's outcome; the verifier fills it in as it sweeps."""
+
     theorem: str
     claim: str
-    universe: str
-    checked: int
-    failures: list[Failure]
-    notes: list[str]
-    elapsed_s: float
+    universe: str = ""
+    checked: int = 0
+    failures: list[Failure] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def count(self, k: int = 1) -> None:
+        self.checked += k
+
+    def fail(self, g: Graph, expected: str, observed: str) -> None:
+        self.failures.append(Failure(write_graph6(g), expected, observed))
+
+    def note(self, text: str) -> None:
+        self.notes.append(text)
 
     def to_dict(self) -> dict:
         return {
@@ -92,60 +110,47 @@ class Universe:
 
     A graph6 file (one encoding per line, ``#`` comments allowed) overrides
     the built-in enumeration for every order it contains, which is how orders
-    beyond the built-in cap reach the harness.
+    beyond the built-in cap reach the harness.  Files are parsed and filtered
+    here, once; a built-in order is enumerated on first use.  ``connected``
+    and ``trees`` return the same tuple on every call.
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
-        self._by_order: dict[int, list[Graph]] = {}
+        by_order: dict[int, list[Graph]] = {}
         self._names: dict[int, dict[str, None]] = {}
         for fname in files:
-            with open(fname, encoding="ascii") as fh:
+            # latin-1 decodes every byte, so a stray one is reported with its line.
+            with open(fname, encoding="latin-1") as fh:
                 graphs = read_graph6_lines(fh)
             base = os.path.basename(fname)
             for g in graphs:
-                self._by_order.setdefault(g.n, []).append(g)
+                by_order.setdefault(g.n, []).append(g)
                 self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
+        self._connected = {n: tuple(g for g in gs if g.is_connected()) for n, gs in by_order.items()}
+        self._trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in self._connected.items()}
 
-    def connected(self, n: int) -> list[Graph]:
-        if n in self._by_order:
-            return [g for g in self._by_order[n] if g.is_connected()]
-        if n <= MAX_BUILTIN_ORDER:
-            return list(enumerate_connected(n))
-        raise ValueError(
-            f"no universe for order {n}: built-in enumeration stops at "
-            f"{MAX_BUILTIN_ORDER}, supply a graph6 file"
-        )
+    def connected(self, n: int) -> tuple[Graph, ...]:
+        if n not in self._connected:
+            if n > MAX_BUILTIN_ORDER:
+                raise ValueError(
+                    f"no universe for order {n}: built-in enumeration stops at "
+                    f"{MAX_BUILTIN_ORDER}, supply a graph6 file"
+                )
+            self._connected[n] = tuple(enumerate_connected(n))
+        return self._connected[n]
 
-    def trees(self, n: int) -> list[Graph]:
-        if n in self._by_order:
-            return [g for g in self.connected(n) if is_tree(g)]
-        if n <= MAX_TREE_ORDER:
-            return list(enumerate_trees(n))
-        raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
+    def trees(self, n: int) -> tuple[Graph, ...]:
+        if n not in self._trees:
+            if n > MAX_TREE_ORDER:
+                raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
+            self._trees[n] = tuple(enumerate_trees(n))
+        return self._trees[n]
 
     def source(self, n: int) -> str:
         return ", ".join(self._names.get(n, ["built-in"]))
 
     def has_file_for(self, n: int) -> bool:
-        return n in self._by_order
-
-
-class _Run:
-    """Mutable scratch state one verifier fills in."""
-
-    def __init__(self) -> None:
-        self.checked = 0
-        self.failures: list[Failure] = []
-        self.notes: list[str] = []
-
-    def count(self, k: int = 1) -> None:
-        self.checked += k
-
-    def fail(self, g: Graph, expected: str, observed: str) -> None:
-        self.failures.append(Failure(write_graph6(g), expected, observed))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
+        return n in self._names
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +196,11 @@ def _ceil_div(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: dict[str, tuple[str, int, int, Callable[[_Run, Universe, int], str]]] = {}
+_REGISTRY: dict[str, tuple[str, int, int, Callable[[VerifyReport, Universe, int], str]]] = {}
 
 
 def _verifier(tid: str, claim: str, default_cap: int, hard_cap: int):
-    def wrap(fn: Callable[[_Run, Universe, int], str]):
+    def wrap(fn: Callable[[VerifyReport, Universe, int], str]):
         _REGISTRY[tid] = (claim, default_cap, hard_cap, fn)
         return fn
 
@@ -210,35 +215,28 @@ def claim_of(tid: str) -> str:
     return _REGISTRY[tid][0]
 
 
-def verify(tid: str, *, max_n: int | None = None, universe_files: Iterable[str] = ()) -> VerifyReport:
+def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = None) -> VerifyReport:
     """Run one verifier and return its report.
 
     ``max_n`` overrides the verifier's default size cap (within its hard
-    cap); ``universe_files`` supply graph6 universes for orders the built-in
-    enumeration does not reach.
+    cap, which only a universe file for a higher order lifts); ``universe``
+    supplies the graphs, and ``None`` means the built-in enumeration.
     """
     if tid not in _REGISTRY:
         known = ", ".join(theorem_ids())
         raise ValueError(f"unknown theorem id {tid!r} (known: {known})")
     claim, default_cap, hard_cap, fn = _REGISTRY[tid]
-    universe = Universe(universe_files)
+    if universe is None:
+        universe = Universe()
     cap = default_cap if max_n is None else max_n
     if cap > hard_cap and not any(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
         raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
-    run = _Run()
+    report = VerifyReport(tid, claim)
     start = time.perf_counter()
-    universe_desc = fn(run, universe, cap)
-    elapsed = time.perf_counter() - start
-    run.failures.sort(key=lambda f: (f.graph6, f.expected))
-    return VerifyReport(
-        theorem=tid,
-        claim=claim,
-        universe=universe_desc,
-        checked=run.checked,
-        failures=run.failures,
-        notes=run.notes,
-        elapsed_s=elapsed,
-    )
+    report.universe = fn(report, universe, cap)
+    report.elapsed_s = time.perf_counter() - start
+    report.failures.sort(key=lambda f: (f.graph6, f.expected))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def verify(tid: str, *, max_n: int | None = None, universe_files: Iterable[str] 
 
 
 @_verifier("T1", "zero forcing number 1 exactly for paths", 7, 8)
-def _t1(run: _Run, u: Universe, cap: int) -> str:
+def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for g in u.connected(n):
             run.count()
@@ -262,7 +260,7 @@ def _t1(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, 8)
-def _t2(run: _Run, u: Universe, cap: int) -> str:
+def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)
         run.note(f"n={n}: {len(graphs)} graphs ({u.source(n)})")
@@ -270,10 +268,10 @@ def _t2(run: _Run, u: Universe, cap: int) -> str:
             run.count()
             z_is_2 = not _zf_exists(g, 1) and _zf_exists(g, 2)
             outer = is_outerplanar(g)
-            pc = path_cover_number(g).value
-            rhs = outer and pc == 2
+            rhs = outer and path_cover_number(g).value == 2
             if z_is_2 != rhs:
                 z = zero_forcing_number(g).value
+                pc = path_cover_number(g).value
                 run.fail(
                     g,
                     "Z=2 iff (outerplanar and path cover 2)",
@@ -283,7 +281,7 @@ def _t2(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, 8)
-def _t3(run: _Run, u: Universe, cap: int) -> str:
+def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
     for n in range(1, cap + 1):
         for g in u.connected(n):
@@ -312,7 +310,7 @@ def _t3(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T4", "smallest graphs that need two power dominators", 7, 8)
-def _t4(run: _Run, u: Universe, cap: int) -> str:
+def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, 6):
         for g in u.connected(n):
             run.count()
@@ -353,7 +351,7 @@ def _t4(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T5", "parameter table for the basic families", 10, 12)
-def _t5(run: _Run, u: Universe, cap: int) -> str:
+def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(3, cap + 1):
         rows: list[tuple[str, Graph, int, int, int]] = [
             (f"path P{n}", path(n), 1, (n + 2) // 3, 1),
@@ -401,7 +399,7 @@ def _partitions_nondecreasing(total: int) -> Iterable[tuple[int, ...]]:
 
 
 @_verifier("T6", "complete multipartite graphs and single-edge deletions", 10, 12)
-def _t6(run: _Run, u: Universe, cap: int) -> str:
+def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
     skipped_disconnected = 0
     literal_conflicts: list[str] = []
     for total in range(2, cap + 1):
@@ -470,7 +468,7 @@ def _t6(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T7", "tree power domination equals the spider partition number", 9, MAX_TREE_ORDER)
-def _t7(run: _Run, u: Universe, cap: int) -> str:
+def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):
             run.count()
@@ -488,13 +486,13 @@ def _t7(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, 8)
-def _t8(run: _Run, u: Universe, cap: int) -> str:
+def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for n in range(1, cap + 1):
         for g in u.connected(n):
             run.count()
             d = g.diameter()
-            if d <= 2 and is_planar(g) and not _pd_at_most(g, 2):
+            if d <= 2 and not _pd_at_most(g, 2) and is_planar(g):
                 run.fail(
                     g,
                     "planar with diameter <= 2: power domination number <= 2",
@@ -516,8 +514,8 @@ def _t8(run: _Run, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T9", "large maximum degree keeps the power domination number small", 8, 9)
-def _t9(run: _Run, u: Universe, cap: int) -> str:
+@_verifier("T9", "large maximum degree keeps the power domination number small", 8, MAX_BUILTIN_ORDER)
+def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for n in range(1, cap + 1):
         for g in u.connected(n):
@@ -552,7 +550,7 @@ def _t9(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, 8)
-def _t10(run: _Run, u: Universe, cap: int) -> str:
+def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for n in range(4, cap + 1):
         for g in u.connected(n):
@@ -587,7 +585,7 @@ def _t10(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T11", "(n-3)-regular power domination criterion", 10, 12)
-def _t11(run: _Run, u: Universe, cap: int) -> str:
+def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
     skipped = 0
     for n in range(5, cap + 1):
         for parts in _partitions_nondecreasing(n):
@@ -624,7 +622,7 @@ def _t11(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, 8)
-def _t12(run: _Run, u: Universe, cap: int) -> str:
+def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(3, cap + 1):
         for g in u.connected(n):
             run.count()
@@ -643,7 +641,7 @@ def _t12(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T13", "lexicographic product power domination formula", 4, 5)
-def _t13(run: _Run, u: Universe, cap: int) -> str:
+def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = [g for k in range(2, cap + 1) for g in u.connected(k)]
     pairs = [(g, h) for g in factors for h in factors]
     extras = [
@@ -671,7 +669,7 @@ def _t13(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T14", "grid power domination formula", 8, 10)
-def _t14(run: _Run, u: Universe, cap: int) -> str:
+def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     for m in range(1, min(5, cap) + 1):
         for n in range(m, cap + 1):
             run.count()
@@ -684,7 +682,7 @@ def _t14(run: _Run, u: Universe, cap: int) -> str:
 
 
 @_verifier("T15", "Cartesian product power domination bounds", 5, 6)
-def _t15(run: _Run, u: Universe, cap: int) -> str:
+def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = [g for k in range(2, cap + 1) for g in u.connected(k)]
     small = [g for k in range(2, 4) for g in u.connected(k)]
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
@@ -764,7 +762,7 @@ def _product_pd1_characterization(a: Graph, b: Graph) -> bool:
 
 
 @_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, 8)
-def _t16(run: _Run, u: Universe, cap: int) -> str:
+def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     for n in range(1, cap + 1):
         for g in u.connected(n):

@@ -30,7 +30,7 @@ from zfpd.invariants import (
 )
 from zfpd.products import cartesian_product
 from zfpd.propagation import closure, closure_with_log
-from zfpd.theorems import verify
+from zfpd.theorems import Universe, verify
 
 from oracles import (
     closure_random_order,
@@ -78,7 +78,7 @@ def test_criterion_2_zero_forcing_two_characterization(tmp_path):
         complete_multipartite((2, 6)), complete_multipartite((1, 3, 4)),
     ]
     fname.write_text("".join(write_graph6(g) + "\n" for g in members), encoding="ascii")
-    file_report = verify("T2", max_n=8, universe_files=[str(fname)])
+    file_report = verify("T2", max_n=8, universe=Universe([str(fname)]))
     ok = report.passed and counts_emitted and file_report.passed
     _report(
         "criterion 2 (Z=2 iff outerplanar with path cover 2)",

@@ -2,7 +2,7 @@ import json
 import pathlib
 
 from zfpd.cli import main
-from zfpd.families import are_isomorphic, parse_graph6, path, star, wheel, write_graph6
+from zfpd.families import are_isomorphic, enumerate_connected, parse_graph6, path, star, wheel, write_graph6
 from zfpd.products import cartesian_product
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verify_t1.json"
@@ -63,6 +63,26 @@ def test_compute_parse_error_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "--input", str(gpath), "--params", "zf")
     assert code == 2
     assert "line 2" in err
+
+
+def test_compute_non_ascii_byte_reports_line(capsys, tmp_path):
+    gpath = tmp_path / "bad.g6"
+    gpath.write_bytes(b"A_\nD\xc3\n")
+    code, _, err = run(capsys, "compute", "--input", str(gpath), "--params", "zf")
+    assert code == 2
+    assert "line 2: byte 195 is outside the printable graph6 range" in err
+    gpath.write_bytes(b"0 1\n1 \xc3\n")
+    code, _, err = run(capsys, "compute", "--input", str(gpath), "--edgelist", "--params", "zf")
+    assert code == 2
+    assert "line 2: vertex labels must be integers" in err
+
+
+def test_verify_non_ascii_byte_in_universe_reports_line(capsys, tmp_path):
+    gpath = tmp_path / "bad.g6"
+    gpath.write_bytes(b"A_\nD\xc3\n")
+    code, _, err = run(capsys, "verify", "--ids", "T1", "--max-n", "4", "--universe", str(gpath))
+    assert code == 2
+    assert "line 2: byte 195 is outside the printable graph6 range" in err
 
 
 def test_compute_skips_disconnected_with_notice(capsys, tmp_path):
@@ -192,15 +212,42 @@ def test_verify_table_format(capsys):
     assert "T1" in out and "pass" in out
 
 
-def test_verify_workers_match_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "5", "--format", "json")
-    code2, out2, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "5", "--format", "json", "--workers", "2")
-    assert code1 == code2 == 0
-    a = json.loads(out1)
-    b = json.loads(out2)
-    for r in a["reports"] + b["reports"]:
-        r.pop("elapsed_s")
-    assert a == b
+def test_verify_workers_match_serial(capsys, tmp_path):
+    # The second case sends the parent's parsed universe to the workers.
+    universe = tmp_path / "six.g6"
+    universe.write_text("".join(write_graph6(g) + "\n" for g in enumerate_connected(6)), encoding="ascii")
+    for extra in (("--max-n", "5"), ("--max-n", "6", "--universe", str(universe))):
+        args = ("verify", "--ids", "T1,T3", "--format", "json", *extra)
+        code1, out1, _ = run(capsys, *args, "--workers", "1")
+        code2, out2, _ = run(capsys, *args, "--workers", "2")
+        assert code1 == code2 == 0
+        a = json.loads(out1)
+        b = json.loads(out2)
+        for r in a["reports"] + b["reports"]:
+            r.pop("elapsed_s")
+        assert a == b
+
+
+def test_verify_parses_each_universe_line_once(capsys, tmp_path, monkeypatch):
+    import zfpd.families as families
+
+    lines = [write_graph6(g) for n in range(1, 6) for g in enumerate_connected(n)]
+    universe = tmp_path / "upto5.g6"
+    universe.write_text("# orders 1..5\n" + "".join(line + "\n" for line in lines), encoding="ascii")
+    calls = []
+    plain = families.parse_graph6
+
+    def counting(text):
+        calls.append(text)
+        return plain(text)
+
+    monkeypatch.setattr(families, "parse_graph6", counting)
+    code, _, _ = run(
+        capsys, "verify", "--ids", "T1,T3,T12", "--max-n", "5", "--universe", str(universe),
+        "--workers", "1", "--format", "json",
+    )
+    assert code == 0
+    assert calls == lines
 
 
 def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
@@ -218,3 +265,30 @@ def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
     assert code == 0 and calls == []
     code, _, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "4", "--format", "json", "--workers", "1")
     assert code == 0 and calls == ["T1", "T3"]
+
+
+def test_tracer_bindings_exist():
+    # perfbench/tracer.py rebinds these names for `--trace 1`; an API change
+    # that drops one would break the traced benchmark runs.
+    import ast
+    import importlib
+
+    source = (pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py").read_text()
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")
+    }
+    assert tables["SPANNED"] and tables["COUNTED"]
+    wrapped = set()
+    for module, attr, _ in tables["SPANNED"] + tables["COUNTED"]:
+        mod = importlib.import_module(f"zfpd.{module}")
+        assert hasattr(mod, attr), f"zfpd.{module}.{attr}"
+        wrapped.add(getattr(mod, attr))
+    import zfpd.cli as cli
+    import zfpd.theorems as theorems
+
+    assert callable(theorems.Universe.connected) and callable(theorems.Universe.trees)
+    assert callable(cli.verify) and callable(cli.main)
+    # the tracer swaps each `compute` solver for the wrapper of the same function
+    assert all(fn in wrapped for _, fn in cli._PARAMS.values())

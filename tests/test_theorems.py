@@ -1,6 +1,6 @@
 import pytest
 
-from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_graph6, wagner_graph, write_graph6, canonical_graph
+from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
 from zfpd.theorems import Universe, _pd_at_most, claim_of, theorem_ids, verify
@@ -22,6 +22,9 @@ def test_unknown_id():
 def test_cap_without_universe_file():
     with pytest.raises(ValueError, match="capped"):
         verify("T1", max_n=9)
+    # T9's built-in universe stops at order 8, so order 9 is refused before any sweep.
+    with pytest.raises(ValueError, match="T9 is capped at max_n=8 without a universe file"):
+        verify("T9", max_n=9)
 
 
 def test_t1_small():
@@ -158,6 +161,7 @@ def test_universe_files_override_orders(tmp_path):
     assert len(u.connected(8)) == 1  # only the Wagner graph has order 8
     assert u.source(8) == "n8.g6"
     assert len(u.connected(3)) == 2  # smaller orders still come from the built-in
+    assert u.connected(8) is u.connected(8) and u.connected(3) is u.connected(3)  # built once
     # a second file for the same order adds its graphs and its name; a name is listed once
     a, b = tmp_path / "a.g6", tmp_path / "b.g6"
     a.write_text(write_graph6(wagner_graph()) + "\n", encoding="ascii")
@@ -171,9 +175,15 @@ def test_universe_files_override_orders(tmp_path):
 def test_verify_with_universe_file(tmp_path):
     fname = tmp_path / "n8.g6"
     fname.write_text(write_graph6(wagner_graph()) + "\n", encoding="ascii")
-    report = verify("T1", max_n=8, universe_files=[str(fname)])
+    report = verify("T1", max_n=8, universe=Universe([str(fname)]))
     assert report.passed
     assert report.checked == 996 + 1
+    # a file covering order 9 lifts T9's cap; orders it covers replace the built-in
+    paths = tmp_path / "paths.g6"
+    paths.write_text("".join(write_graph6(path(n)) + "\n" for n in range(1, 10)), encoding="ascii")
+    report = verify("T9", max_n=9, universe=Universe([str(paths)]))
+    assert report.passed and report.checked == 9
+    assert report.notes == ["no witness with max degree n-5 and power domination >= 3 up to n=9"]
 
 
 def test_pd_at_most_agrees_with_power_domination_number():
