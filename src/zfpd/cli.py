@@ -4,6 +4,13 @@ Four subcommands: ``compute`` evaluates parameters on graphs from a file,
 ``gen`` emits family members as graph6, ``product`` combines two graphs,
 and ``verify`` runs the claim checkers.  Output is a human table on a
 terminal and JSON when piped; ``--format`` forces either.
+
+The library decides what it refuses: solvers, parsers, generators and
+verifiers raise ``ValueError`` or ``IndexError`` with their own message.
+``compute`` lists a solver's refusal under ``skipped``; any other error
+reaches ``main``, the one place that reports one, as ``error: <message>``
+on stderr with exit status 2.  Each subcommand returns its output text, and
+``main`` writes it to stdout or ``--out`` only once the work has succeeded.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, TextIO
+from typing import Callable
 
-from .graph import Graph, bits, is_tree
+from .graph import Graph, bits
 # parse_graph6 is unused here but stays a module attribute: perfbench/tracer.py
 # wraps cli.parse_graph6.
 from .families import (  # noqa: F401
@@ -51,18 +58,6 @@ _PARAMS: dict[str, tuple[str, Callable[[Graph], ParamResult]]] = {
 }
 
 
-def _precondition(param: str, g: Graph) -> str | None:
-    if g.n == 0:
-        return "empty graph"
-    if not g.is_connected():
-        return "disconnected graph"
-    if param == "tdom" and g.n == 1:
-        return "total domination needs at least two vertices"
-    if param == "spider" and not is_tree(g):
-        return "spider number needs a tree"
-    return None
-
-
 def _witness_json(witness) -> list:
     if isinstance(witness, int):
         return list(bits(witness))
@@ -84,135 +79,103 @@ def _pick_format(requested: str | None) -> str:
     return "table" if sys.stdout.isatty() else "json"
 
 
-def _out_stream(path: str | None) -> TextIO:
-    return open(path, "w", encoding="ascii") if path else sys.stdout
+def _emit(text: str, path: str | None) -> None:
+    """Write a finished command's ``text`` to the file at ``path``, or to stdout."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    data = text.encode("ascii")  # fails before the file is created
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text and exit status, or raises
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
     params = [p.strip() for p in args.params.split(",") if p.strip()]
+    if not params:
+        raise ValueError("no parameters given")
     for p in params:
         if p not in _PARAMS:
-            print(f"error: unknown parameter {p!r} (choose from {', '.join(_PARAMS)})", file=sys.stderr)
-            return 2
-    try:
-        graphs = _read_graphs(args.input, args.edgelist)
-    except (OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"unknown parameter {p!r} (choose from {', '.join(_PARAMS)})")
     entries = []
-    for idx, g in enumerate(graphs):
+    for idx, g in enumerate(_read_graphs(args.input, args.edgelist)):
         entry: dict = {"index": idx, "graph6": write_graph6(g), "n": g.n, "params": {}, "skipped": {}}
         for p in params:
-            reason = _precondition(p, g)
-            if reason is not None:
-                entry["skipped"][p] = reason
-                continue
             try:
                 res = _PARAMS[p][1](g)
-            except ValueError as exc:  # the solver refuses input above its cap
+            except ValueError as exc:  # the solver refuses this graph
                 entry["skipped"][p] = str(exc)
                 continue
             entry["params"][p] = {"value": res.value, "witness": _witness_json(res.witness)}
         entries.append(entry)
-    payload = {"graphs": entries}
-    fmt = _pick_format(args.format)
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for entry in entries:
-            print(f"graph {entry['index']}  n={entry['n']}  {entry['graph6']}")
-            for p in params:
-                if p in entry["skipped"]:
-                    print(f"  {p:10} skipped: {entry['skipped'][p]}")
-                else:
-                    info = entry["params"][p]
-                    print(f"  {p:10} {info['value']:>3}  witness {info['witness']}")
-        if not entries:
-            print("no graphs in input")
-    return 0
+    if _pick_format(args.format) == "json":
+        return json.dumps({"graphs": entries}, indent=2, sort_keys=True) + "\n", 0
+    lines = []
+    for entry in entries:
+        lines.append(f"graph {entry['index']}  n={entry['n']}  {entry['graph6']}")
+        for p in params:
+            if p in entry["skipped"]:
+                lines.append(f"  {p:10} skipped: {entry['skipped'][p]}")
+            else:
+                info = entry["params"][p]
+                lines.append(f"  {p:10} {info['value']:>3}  witness {info['witness']}")
+    return "\n".join(lines or ["no graphs in input"]) + "\n", 0
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     parts = tuple(int(x) for x in args.parts.split(",")) if args.parts else None
     legs = tuple(int(x) for x in args.legs.split(",")) if args.legs else None
-    try:
-        g = generate(args.family, args.n, parts=parts, legs=legs)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _out_stream(args.out)
-    print(write_graph6(g), file=out)
-    if out is not sys.stdout:
-        out.close()
-    return 0
+    return write_graph6(generate(args.family, args.n, parts=parts, legs=legs)) + "\n", 0
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
-    try:
-        ga = _read_graphs(args.left, args.edgelist)
-        gb = _read_graphs(args.right, args.edgelist)
-        if not ga or not gb:
-            raise ValueError("each operand file must contain a graph")
-        a, b = ga[0], gb[0]
-        if args.kind == "cartesian":
-            result, _ = cartesian_product(a, b)
-        elif args.kind == "lex":
-            result, _ = lexicographic_product(a, b)
-        else:
-            gv, hv = (int(x) for x in args.at.split(","))
-            result = amalgamate(a, gv, b, hv)
-    except (OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _out_stream(args.out)
-    print(write_graph6(result), file=out)
-    if out is not sys.stdout:
-        out.close()
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
-    ids = theorem_ids() if wanted == ["all"] else wanted
-    known = set(theorem_ids())
-    bad = [t for t in ids if t not in known]
-    if bad:
-        for t in bad:
-            print(f"error: unknown theorem id {t!r}", file=sys.stderr)
-        print(f"known ids: {', '.join(theorem_ids())}", file=sys.stderr)
-        return 2
-    try:
-        universe = Universe(args.universe or ())
-        if args.workers > 1 and len(ids) > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
-                futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
-                reports = [f.result() for f in futures]
-        else:
-            reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fmt = _pick_format(args.format)
-    out = _out_stream(args.out)
-    if fmt == "json":
-        print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True), file=out)
+def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
+    ga = _read_graphs(args.left, args.edgelist)
+    gb = _read_graphs(args.right, args.edgelist)
+    if not ga or not gb:
+        raise ValueError("each operand file must contain a graph")
+    a, b = ga[0], gb[0]
+    if args.kind == "cartesian":
+        result, _ = cartesian_product(a, b)
+    elif args.kind == "lex":
+        result, _ = lexicographic_product(a, b)
     else:
-        for r in reports:
-            verdict = "pass" if r.passed else f"FAIL ({len(r.failures)} counterexamples)"
-            print(f"{r.theorem:4} {verdict:30} checked {r.checked:>6}  {r.elapsed_s:7.2f}s  {r.claim}", file=out)
-            print(f"     universe: {r.universe}", file=out)
-            for fail in r.failures:
-                print(f"     counterexample {fail.graph6}: expected {fail.expected}; observed {fail.observed}", file=out)
-            for note in r.notes:
-                print(f"     note: {note}", file=out)
-    if out is not sys.stdout:
-        out.close()
-    return 0 if all(r.passed for r in reports) else 1
+        gv, hv = (int(x) for x in args.at.split(","))
+        result = amalgamate(a, gv, b, hv)
+    return write_graph6(result) + "\n", 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
+    if not wanted:
+        raise ValueError("no theorem ids given")
+    ids = theorem_ids() if wanted == ["all"] else wanted
+    bad = [t for t in ids if t not in theorem_ids()]
+    if bad:
+        raise ValueError(
+            f"unknown theorem id {', '.join(map(repr, bad))} (known ids: {', '.join(theorem_ids())})"
+        )
+    universe = Universe(args.universe or ())
+    if args.workers > 1 and len(ids) > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
+            futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
+            reports = [f.result() for f in futures]
+    else:
+        reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
+    status = 0 if all(r.passed for r in reports) else 1
+    if _pick_format(args.format) == "json":
+        return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True) + "\n", status
+    lines = []
+    for r in reports:
+        verdict = "pass" if r.passed else f"FAIL ({len(r.failures)} counterexamples)"
+        lines.append(f"{r.theorem:4} {verdict:30} checked {r.checked:>6}  {r.elapsed_s:7.2f}s  {r.claim}")
+        lines.append(f"     universe: {r.universe}")
+        lines += [f"     counterexample {f.graph6}: expected {f.expected}; observed {f.observed}" for f in r.failures]
+        lines += [f"     note: {note}" for note in r.notes]
+    return "\n".join(lines) + "\n", status
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help=f"comma list from: {', '.join(_PARAMS)}")
     p.add_argument("--edgelist", action="store_true", help="input is one 'u v' pair per line")
     p.add_argument("--format", choices=["json", "table"], default=None)
-    p.set_defaults(fn=_cmd_compute)
+    p.set_defaults(fn=_cmd_compute, out=None)
 
     p = sub.add_parser("gen", help="emit a named family member as graph6")
     p.add_argument("--family", required=True)
@@ -264,7 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        text, status = args.fn(args)
+        _emit(text, args.out)
+    except (OSError, ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

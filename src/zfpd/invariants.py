@@ -9,8 +9,14 @@ answer: a zero forcing set can never beat the minimum degree, a total
 dominating set never has fewer than two vertices, and the domination
 searches skip a branch whose union cannot cover every vertex even with all
 the rows still available to it.  The tests compare every solver with
-unpruned reference sweeps.  A size ``k`` with more than 1,000,000 subsets of
-``n`` vertices is refused with a ``ValueError`` rather than swept.
+unpruned reference sweeps.
+
+The solvers alone decide which graphs they accept.  Each one needs a
+nonempty connected graph, the total domination number at least two vertices
+and the spider number a tree; a size ``k`` with more than 1,000,000 subsets
+of ``n`` vertices, and a graph above the path cover or spider cap, are
+refused rather than swept.  A refusal is a ``ValueError`` whose message
+``zfpd compute`` reports, unchanged, under ``skipped``.
 """
 
 from __future__ import annotations
@@ -56,9 +62,11 @@ class ParamResult:
     certificate: Optional[ForceLog] = None
 
 
-def _require_connected(g: Graph, what: str) -> None:
-    if g.n == 0 or not g.is_connected():
-        raise ValueError(f"{what} requires a nonempty connected graph")
+def _require_connected(g: Graph) -> None:
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if not g.is_connected():
+        raise ValueError("disconnected graph")
 
 
 def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: str) -> Optional[int]:
@@ -119,7 +127,7 @@ def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
 
 def zero_forcing_number(g: Graph) -> ParamResult:
     """Minimum size of a zero forcing set, with witness and force log."""
-    _require_connected(g, "the zero forcing number")
+    _require_connected(g)
     delta = g.degree_stats()[0]
     for k in range(max(1, delta), g.n + 1):
         m = find_zero_forcing_set(g, k)
@@ -131,7 +139,7 @@ def zero_forcing_number(g: Graph) -> ParamResult:
 
 def power_domination_number(g: Graph) -> ParamResult:
     """Minimum size of a power dominating set, with witness and force log."""
-    _require_connected(g, "the power domination number")
+    _require_connected(g)
     for k in range(1, g.n + 1):
         m = find_power_dominating_set(g, k)
         if m is not None:
@@ -142,7 +150,7 @@ def power_domination_number(g: Graph) -> ParamResult:
 
 def domination_number(g: Graph) -> ParamResult:
     """Minimum size of a dominating set."""
-    _require_connected(g, "the domination number")
+    _require_connected(g)
     rows = _closed_rows(g)
     for k in range(1, g.n + 1):
         m = _first_subset(g, rows, k, False, "domination")
@@ -153,9 +161,9 @@ def domination_number(g: Graph) -> ParamResult:
 
 def total_domination_number(g: Graph) -> ParamResult:
     """Minimum size of a total dominating set (every vertex has a neighbor in it)."""
-    _require_connected(g, "the total domination number")
+    _require_connected(g)
     if g.n == 1:
-        raise ValueError("total domination is undefined on a single vertex")
+        raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
     for k in range(2, g.n + 1):
         m = _first_subset(g, g.adj, k, False, "total domination")
@@ -262,7 +270,7 @@ def path_cover_number(g: Graph) -> ParamResult:
     Exact subset dynamic programming; refuses graphs above 24 vertices
     rather than degrade silently.
     """
-    _require_connected(g, "the path cover number")
+    _require_connected(g)
     if g.n > _PATH_COVER_CAP:
         raise ValueError(f"path cover search is capped at {_PATH_COVER_CAP} vertices")
     value, masks = _min_partition(g, _induced_path_masks(g))
@@ -285,8 +293,9 @@ def spider_number(t: Graph) -> ParamResult:
     Refuses trees above 20 vertices: a star of that order already has over
     half a million candidate parts.
     """
-    if not is_tree(t):
-        raise ValueError("the spider number is defined on trees only")
+    _require_connected(t)
+    if t.m != t.n - 1:
+        raise ValueError("spider number needs a tree")
     if t.n > _SPIDER_CAP:
         raise ValueError(f"spider search is capped at {_SPIDER_CAP} vertices")
     value, masks = _min_partition(t, _spider_masks(t))

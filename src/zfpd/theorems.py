@@ -111,7 +111,8 @@ class Universe:
     A graph6 file (one encoding per line, ``#`` comments allowed) overrides
     the built-in enumeration for every order it contains, which is how orders
     beyond the built-in cap reach the harness.  Files are parsed and filtered
-    here, once; a built-in order is enumerated on first use.  ``connected``
+    here, once: graphs that are not connected, the order-0 graph among them,
+    are dropped.  A built-in order is enumerated on first use.  ``connected``
     and ``trees`` return the same tuple on every call.
     """
 
@@ -126,7 +127,7 @@ class Universe:
             for g in graphs:
                 by_order.setdefault(g.n, []).append(g)
                 self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
-        self._connected = {n: tuple(g for g in gs if g.is_connected()) for n, gs in by_order.items()}
+        self._connected = {n: tuple(g for g in gs if n and g.is_connected()) for n, gs in by_order.items()}
         self._trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in self._connected.items()}
 
     def connected(self, n: int) -> tuple[Graph, ...]:
@@ -337,7 +338,8 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     gp_w = _gp(wg)
     if gp_w != 2:
         run.fail(wg, "Wagner graph power domination number 2", str(gp_w))
-    for n in range(1, min(7, cap) + 1):
+    top = min(7, cap)
+    for n in range(1, top + 1):
         for g in u.connected(n):
             if _twin_free(g):
                 run.count()
@@ -347,7 +349,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
                         "twin-free graphs of order <= 7 have power domination number 1",
                         "needs >= 2",
                     )
-    return "connected graphs n<=5; order 6; Wagner graph; twin-free n<=7"
+    return f"connected graphs n<=5; order 6; Wagner graph; twin-free n<={top}"
 
 
 @_verifier("T5", "parameter table for the basic families", 10, 12)

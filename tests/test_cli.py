@@ -292,3 +292,61 @@ def test_tracer_bindings_exist():
     assert callable(cli.verify) and callable(cli.main)
     # the tracer swaps each `compute` solver for the wrapper of the same function
     assert all(fn in wrapped for _, fn in cli._PARAMS.values())
+
+
+def test_compute_skip_reasons_are_the_solvers_messages(capsys, tmp_path):
+    # the order-0 graph, two isolated vertices, K1 and the triangle
+    gpath = tmp_path / "odd.g6"
+    gpath.write_text("?\nA?\n@\nBw\n", encoding="ascii")
+    code, out, _ = run(
+        capsys, "compute", "--input", str(gpath), "--params", "zf,pd,dom,tdom,pathcover,spider",
+        "--format", "json",
+    )
+    assert code == 0
+    empty, two, k1, k3 = json.loads(out)["graphs"]
+    every = ("zf", "pd", "dom", "tdom", "pathcover", "spider")
+    assert empty["params"] == {} and empty["skipped"] == dict.fromkeys(every, "empty graph")
+    assert two["params"] == {} and two["skipped"] == dict.fromkeys(every, "disconnected graph")
+    assert k1["skipped"] == {"tdom": "total domination needs at least two vertices"}
+    assert set(k1["params"]) == set(every) - {"tdom"}
+    assert k3["skipped"] == {"spider": "spider number needs a tree"}
+    assert set(k3["params"]) == set(every) - {"spider"}
+
+
+def test_empty_selection_is_refused(capsys, tmp_path):
+    gpath = tmp_path / "p2.g6"
+    gpath.write_text("A_\n", encoding="ascii")
+    for argv, message in (
+        (("verify", "--ids", ""), "error: no theorem ids given"),
+        (("verify", "--ids", ","), "error: no theorem ids given"),
+        (("compute", "--input", str(gpath), "--params", ""), "error: no parameters given"),
+        (("compute", "--input", str(gpath), "--params", " , "), "error: no parameters given"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv
+
+
+def test_bad_option_or_output_path_is_one_error_line(capsys, tmp_path):
+    p2 = tmp_path / "p2.g6"
+    p2.write_text("A_\n", encoding="ascii")
+    missing = tmp_path / "missing" / "out.txt"
+    for argv in (
+        ("gen", "--family", "multipartite", "--parts", "3,x"),
+        ("gen", "--family", "spider", "--legs", "2,,2"),
+        ("gen", "--family", "path", "--n", "3", "--out", str(missing)),
+        ("product", "--kind", "cartesian", str(p2), str(p2), "--out", str(missing)),
+        ("verify", "--ids", "T1", "--max-n", "3", "--format", "json", "--out", str(missing)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_verify_universe_file_with_order_zero_line(capsys, tmp_path):
+    gpath = tmp_path / "with-empty.g6"
+    gpath.write_text("A_\n?\n", encoding="ascii")
+    code, out, err = run(capsys, "verify", "--ids", "T1", "--max-n", "2", "--universe", str(gpath), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["reports"][0]["checked"] == 2

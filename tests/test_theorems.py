@@ -53,6 +53,11 @@ def test_t4_reports_all_order6_graphs_needing_two():
         assert power_domination_number(g).value == 2
 
 
+def test_t4_names_the_twin_free_orders_it_swept():
+    assert verify("T4", max_n=5).universe.endswith("; twin-free n<=5")
+    assert verify("T4").universe == "connected graphs n<=5; order 6; Wagner graph; twin-free n<=7"
+
+
 def test_t5_small():
     assert verify("T5", max_n=7).passed
 
