@@ -29,7 +29,7 @@ from .invariants import (
     zero_forcing_number,
 )
 from .structure import MinorWitness, has_minor, is_outerplanar, is_planar
-from .products import ProductVertexMap, amalgamate, cartesian_product, lexicographic_product
+from .products import amalgamate, cartesian_product, lexicographic_product
 from .theorems import VerifyReport, verify, theorem_ids
 
 __version__ = "0.1.0"

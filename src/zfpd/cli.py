@@ -73,6 +73,18 @@ def _read_graphs(path: str, edgelist: bool) -> list[Graph]:
     return read_graph6_lines(lines)
 
 
+def _ints(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
+    """Parse the comma-separated integers given to ``option``, exactly ``count`` of them if set."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    form = "comma-separated integers" if count is None else f"{count} comma-separated integers"
+    raise ValueError(f"{option} expects {form}, got {text!r}")
+
+
 def _pick_format(requested: str | None) -> str:
     if requested:
         return requested
@@ -126,8 +138,8 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    parts = tuple(int(x) for x in args.parts.split(",")) if args.parts else None
-    legs = tuple(int(x) for x in args.legs.split(",")) if args.legs else None
+    parts = _ints("--parts", args.parts) if args.parts else None
+    legs = _ints("--legs", args.legs) if args.legs else None
     return write_graph6(generate(args.family, args.n, parts=parts, legs=legs)) + "\n", 0
 
 
@@ -138,11 +150,11 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("each operand file must contain a graph")
     a, b = ga[0], gb[0]
     if args.kind == "cartesian":
-        result, _ = cartesian_product(a, b)
+        result = cartesian_product(a, b)
     elif args.kind == "lex":
-        result, _ = lexicographic_product(a, b)
+        result = lexicographic_product(a, b)
     else:
-        gv, hv = (int(x) for x in args.at.split(","))
+        gv, hv = _ints("--at", args.at, 2)
         result = amalgamate(a, gv, b, hv)
     return write_graph6(result) + "\n", 0
 
@@ -151,6 +163,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
     if not wanted:
         raise ValueError("no theorem ids given")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     ids = theorem_ids() if wanted == ["all"] else wanted
     bad = [t for t in ids if t not in theorem_ids()]
     if bad:

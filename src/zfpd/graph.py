@@ -3,7 +3,9 @@
 Vertices are dense integers ``0..n-1``.  A vertex set is a plain ``int``
 bitmask, which keeps closures, dominating sets and witnesses cheap to copy,
 hash and compare.  Graphs never change after construction, so they can be
-shared freely across threads and used as dictionary keys.
+shared freely across threads and used as dictionary keys.  Connectivity,
+distances and eccentricities all come from one breadth-first search,
+``Graph._layers``.
 """
 
 from __future__ import annotations
@@ -164,55 +166,40 @@ class Graph:
 
     # -- connectivity and distances --------------------------------------
 
-    def component(self, v: int) -> int:
-        """Mask of all vertices reachable from ``v``."""
-        self._check_vertex(v)
-        seen = 1 << v
-        frontier = seen
+    def _layers(self, start: int, within: int) -> Iterator[int]:
+        """Yield the breadth-first layers grown from the mask ``start`` inside ``within``.
+
+        Layer ``d`` holds the vertices at distance ``d`` from ``start`` in the
+        subgraph induced by ``within``.  The layers are disjoint, so their sum
+        is the set of vertices reached.
+        """
+        seen = frontier = start
         while frontier:
-            grown = self.open_neighborhood(frontier) & ~seen
-            seen |= grown
-            frontier = grown
-        return seen
+            yield frontier
+            frontier = self.open_neighborhood(frontier) & within & ~seen
+            seen |= frontier
 
     def is_connected(self) -> bool:
         if self.n == 0:
             raise ValueError("connectivity is undefined for the empty graph")
-        return self.component(0) == self.full_mask
+        return induces_connected(self, self.full_mask)
 
     def distance(self, u: int, v: int) -> int | float:
         """BFS distance between ``u`` and ``v``; ``math.inf`` when separated."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return 0
-        seen = 1 << u
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            frontier = self.open_neighborhood(frontier) & ~seen
-            if frontier >> v & 1:
+        for d, layer in enumerate(self._layers(1 << u, self.full_mask)):
+            if layer >> v & 1:
                 return d
-            seen |= frontier
         return math.inf
 
     def eccentricity(self, v: int) -> int:
         """Largest BFS depth from ``v``; requires a connected graph."""
         self._check_vertex(v)
-        seen = 1 << v
-        frontier = seen
-        depth = 0
-        while True:
-            grown = self.open_neighborhood(frontier) & ~seen
-            if not grown:
-                break
-            depth += 1
-            seen |= grown
-            frontier = grown
-        if seen != self.full_mask:
+        layers = list(self._layers(1 << v, self.full_mask))
+        if sum(layers) != self.full_mask:
             raise ValueError("eccentricity requires a connected graph")
-        return depth
+        return len(layers) - 1
 
     def diameter(self) -> int:
         if not self.is_connected():
@@ -290,14 +277,7 @@ def induces_connected(g: Graph, mask: int) -> bool:
     """True iff ``mask`` is nonempty and induces a connected subgraph."""
     if mask == 0:
         return False
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        grown = g.open_neighborhood(frontier) & mask & ~seen
-        seen |= grown
-        frontier = grown
-    return seen == mask
+    return sum(g._layers(mask & -mask, mask)) == mask
 
 
 def connected_masks(g: Graph, keep: Callable[[int, int], bool] | None = None) -> list[int]:

@@ -1,36 +1,16 @@
 """Binary graph constructions: Cartesian product, lexicographic product,
 and vertex amalgamation.
 
-Product vertices are laid out row-major: the pair ``(gv, hv)`` lands at
-index ``gv * n_H + hv``, and the returned map converts both ways so
-witnesses found inside a product can be reported in factor coordinates.
+Product vertices are laid out row-major: the pair ``(gv, hv)`` of factor
+vertices lands at index ``gv * h.n + hv``, so fibre ``gv`` is the slot of
+``h.n`` bits that starts at bit ``gv * h.n`` of each adjacency row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .graph import Graph, bits
 
-from .graph import Graph
-
-__all__ = ["ProductVertexMap", "cartesian_product", "lexicographic_product", "amalgamate"]
-
-
-@dataclass(frozen=True)
-class ProductVertexMap:
-    """Row-major bijection between factor pairs and product vertex indices."""
-
-    n_left: int
-    n_right: int
-
-    def index(self, gv: int, hv: int) -> int:
-        if not (0 <= gv < self.n_left and 0 <= hv < self.n_right):
-            raise IndexError(f"pair ({gv},{hv}) out of range")
-        return gv * self.n_right + hv
-
-    def pair(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.n_left * self.n_right:
-            raise IndexError(f"index {idx} out of range")
-        return divmod(idx, self.n_right)
+__all__ = ["cartesian_product", "lexicographic_product", "amalgamate"]
 
 
 def _check_operands(g: Graph, h: Graph) -> None:
@@ -38,33 +18,24 @@ def _check_operands(g: Graph, h: Graph) -> None:
         raise ValueError("product operands must be nonempty")
 
 
-def cartesian_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: move along one coordinate at a time."""
     _check_operands(g, h)
-    vmap = ProductVertexMap(g.n, h.n)
-    edges = []
+    rows = []
     for gv in range(g.n):
-        for hu, hv in h.edges():
-            edges.append((vmap.index(gv, hu), vmap.index(gv, hv)))
-    for hv in range(h.n):
-        for gu, gv in g.edges():
-            edges.append((vmap.index(gu, hv), vmap.index(gv, hv)))
-    return Graph(g.n * h.n, edges), vmap
+        across = sum(1 << gw * h.n for gw in bits(g.adj[gv]))  # vertex hv = 0 of each neighbouring fibre
+        rows.extend(h.adj[hv] << gv * h.n | across << hv for hv in range(h.n))
+    return Graph.from_rows(rows)
 
 
-def lexicographic_product(g: Graph, h: Graph) -> tuple[Graph, ProductVertexMap]:
-    """Composition: left-factor edges join whole fibers, right edges stay inside one."""
+def lexicographic_product(g: Graph, h: Graph) -> Graph:
+    """Composition: left-factor edges join whole fibres, right edges stay inside one."""
     _check_operands(g, h)
-    vmap = ProductVertexMap(g.n, h.n)
-    edges = []
-    for gu, gv in g.edges():
-        for hu in range(h.n):
-            for hv in range(h.n):
-                edges.append((vmap.index(gu, hu), vmap.index(gv, hv)))
+    rows = []
     for gv in range(g.n):
-        for hu, hv in h.edges():
-            edges.append((vmap.index(gv, hu), vmap.index(gv, hv)))
-    return Graph(g.n * h.n, edges), vmap
+        across = sum(h.full_mask << gw * h.n for gw in bits(g.adj[gv]))  # each neighbouring fibre whole
+        rows.extend(h.adj[hv] << gv * h.n | across for hv in range(h.n))
+    return Graph.from_rows(rows)
 
 
 def amalgamate(g: Graph, gv: int, h: Graph, hv: int) -> Graph:

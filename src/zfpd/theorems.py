@@ -219,9 +219,10 @@ def claim_of(tid: str) -> str:
 def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = None) -> VerifyReport:
     """Run one verifier and return its report.
 
-    ``max_n`` overrides the verifier's default size cap (within its hard
-    cap, which only a universe file for a higher order lifts); ``universe``
-    supplies the graphs, and ``None`` means the built-in enumeration.
+    ``max_n`` overrides the verifier's default size cap.  It must be at
+    least 1, and above the hard cap only when a universe file covers every
+    order up to it; ``universe`` supplies the graphs, and ``None`` means the
+    built-in enumeration.
     """
     if tid not in _REGISTRY:
         known = ", ".join(theorem_ids())
@@ -230,7 +231,9 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
     if universe is None:
         universe = Universe()
     cap = default_cap if max_n is None else max_n
-    if cap > hard_cap and not any(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
+    if cap < 1:
+        raise ValueError(f"max_n must be at least 1, got {cap}")
+    if cap > hard_cap and not all(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
         raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
     report = VerifyReport(tid, claim)
     start = time.perf_counter()
@@ -653,7 +656,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
     ]
     for g, h in pairs + extras:
         run.count()
-        prod, _ = lexicographic_product(g, h)
+        prod = lexicographic_product(g, h)
         gp_h = _gp(h)
         exp = _gamma(g) if gp_h == 1 else total_domination_number(g).value
         got = _gp(prod)
@@ -675,7 +678,7 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     for m in range(1, min(5, cap) + 1):
         for n in range(m, cap + 1):
             run.count()
-            grid, _ = cartesian_product(path(m), path(n))
+            grid = cartesian_product(path(m), path(n))
             exp = _ceil_div(m + 1, 4) if m % 8 == 4 else _ceil_div(m, 4)
             got = _gp(grid)
             if got != exp:
@@ -691,7 +694,7 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
     for g, h in pairs:
         run.count()
-        prod, _ = cartesian_product(g, h)
+        prod = cartesian_product(g, h)
         gp_prod = _gp(prod)
         gp_g = _gp(g)
         gp_h = _gp(h)
@@ -771,7 +774,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             if not _pd_exists(g, 1):
                 continue
             run.count()
-            prod, _ = cartesian_product(g, p2)
+            prod = cartesian_product(g, p2)
             if not _pd_at_most(prod, 2):
                 run.fail(
                     g,
@@ -784,7 +787,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             if g.n * h.n > 20:
                 continue
             run.count()
-            prod, _ = cartesian_product(g, h)
+            prod = cartesian_product(g, h)
             actual = _pd_exists(prod, 1)
             candidates = []
             if _gamma(g) <= _gamma(h):
@@ -807,7 +810,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             if _pd_exists(g, 1) or not _pd_exists(g, 2):
                 continue  # wants power domination number exactly 2
             run.count()
-            prod, _ = cartesian_product(g, p2)
+            prod = cartesian_product(g, p2)
             gp_prod = _gp(prod)
             if gp_prod == 3:
                 witness = (g, gp_prod)

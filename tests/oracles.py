@@ -147,20 +147,27 @@ def naive_spider_number(g) -> int:
     return _min_cover(g, _induces_spider)
 
 
-def naive_diameter(g) -> int:
+def bfs_distances(g, src: int, within=None) -> dict[int, int]:
+    """Distance from ``src`` to each vertex it reaches through ``within`` (all vertices by default)."""
     adj = adj_sets(g)
+    allowed = set(range(g.n)) if within is None else set(within)
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v] & allowed:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def naive_diameter(g) -> int:
     best = 0
     for src in range(g.n):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
+        dist = bfs_distances(g, src)
         if len(dist) != g.n:
             raise ValueError("disconnected")
         best = max(best, max(dist.values()))

@@ -197,7 +197,7 @@ def test_criterion_9_bounded_existence_searches():
                 ok &= g.degree_stats()[1] == n - 5
                 ok &= power_domination_number(g).value >= 3
             else:
-                prod, _ = cartesian_product(g, path(2))
+                prod = cartesian_product(g, path(2))
                 ok &= power_domination_number(g).value == 2
                 ok &= power_domination_number(prod).value == 3
         else:

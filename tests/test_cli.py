@@ -147,7 +147,7 @@ def test_product_command(capsys, tmp_path):
     run(capsys, "gen", "--family", "path", "--n", "4", "-o", str(b))
     code, out, _ = run(capsys, "product", "--kind", "cartesian", str(a), str(b))
     assert code == 0
-    expected, _ = cartesian_product(path(2), path(4))
+    expected = cartesian_product(path(2), path(4))
     assert are_isomorphic(parse_graph6(out.strip()), expected)
 
 
@@ -342,6 +342,24 @@ def test_bad_option_or_output_path_is_one_error_line(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
         assert "Traceback" not in err
     assert not missing.parent.exists()
+
+
+def test_bad_number_is_refused_with_the_option_named(capsys, tmp_path):
+    p2 = tmp_path / "p2.g6"
+    p2.write_text("A_\n", encoding="ascii")
+    amalgam = ("product", "--kind", "amalgam", str(p2), str(p2), "--at")
+    for argv, message in (
+        (("gen", "--family", "multipartite", "--parts", "3,x"), "--parts expects comma-separated integers, got '3,x'"),
+        (("gen", "--family", "spider", "--legs", "2,,2"), "--legs expects comma-separated integers, got '2,,2'"),
+        ((*amalgam, "1"), "--at expects 2 comma-separated integers, got '1'"),
+        ((*amalgam, "0,0,1"), "--at expects 2 comma-separated integers, got '0,0,1'"),
+        ((*amalgam, "0,y"), "--at expects 2 comma-separated integers, got '0,y'"),
+        (("verify", "--ids", "T1", "--max-n", "0"), "max_n must be at least 1, got 0"),
+        (("verify", "--ids", "T1", "--workers", "0"), "--workers must be at least 1, got 0"),
+        (("verify", "--ids", "T1,T3", "--max-n", "4", "--workers", "-2"), "--workers must be at least 1, got -2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_verify_universe_file_with_order_zero_line(capsys, tmp_path):

@@ -248,7 +248,7 @@ def test_iso_key_on_graphs_refinement_cannot_split():
     parts = [(2, 2), (3, 3), (2, 2, 2), (4, 4), (2, 3, 3), (3, 3, 3), (4, 4, 4)]
     graphs += [complete_multipartite(p) for p in parts]
     k2 = complete(2)
-    cube = cartesian_product(cartesian_product(k2, k2)[0], k2)[0]
+    cube = cartesian_product(cartesian_product(k2, k2), k2)
     graphs += [wagner_graph(), cube, cycle(8).complement()]
     regular = [(8, 3), (8, 3), (8, 4), (10, 3), (10, 3), (10, 4), (12, 3), (12, 3), (12, 5)]
     for seed, (n, d) in enumerate(regular, start=1):

@@ -23,6 +23,7 @@ from oracles import (
     _induces_path,
     _induces_spider,
     adj_sets,
+    bfs_distances,
     random_connected_graph,
     random_graph,
 )
@@ -183,6 +184,27 @@ def test_induces_connected():
     assert induces_connected(c6, mask_of([0, 1, 2]))
     assert not induces_connected(c6, mask_of([0, 2, 4]))
     assert not induces_connected(c6, 0)
+
+
+def test_bfs_queries_match_set_oracle():
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))  # sparse ones fall apart
+        dist = [bfs_distances(g, u) for u in range(n)]
+        assert g.is_connected() == (len(dist[0]) == n)
+        for u in range(n):
+            for v in range(n):
+                assert g.distance(u, v) == dist[u].get(v, math.inf)
+            if len(dist[u]) == n:
+                assert g.eccentricity(u) == max(dist[u].values())
+            else:
+                with pytest.raises(ValueError, match="^eccentricity requires a connected graph$"):
+                    g.eccentricity(u)
+        for _ in range(12):
+            verts = set(bits(rng.getrandbits(n)))
+            expected = bool(verts) and len(bfs_distances(g, min(verts), verts)) == len(verts)
+            assert induces_connected(g, mask_of(verts)) == expected
 
 
 def _all_graphs(n: int):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,6 @@ from zfpd.families import (
     path,
 )
 from zfpd.products import (
-    ProductVertexMap,
     amalgamate,
     cartesian_product,
     lexicographic_product,
@@ -21,21 +21,21 @@ from oracles import random_graph
 
 
 def test_cartesian_examples():
-    g, _ = cartesian_product(path(2), path(2))
+    g = cartesian_product(path(2), path(2))
     assert are_isomorphic(g, cycle(4))
-    g, _ = cartesian_product(path(2), path(3))
+    g = cartesian_product(path(2), path(3))
     assert g.n == 6 and g.m == 7
-    rook, _ = cartesian_product(complete(3), complete(3))
+    rook = cartesian_product(complete(3), complete(3))
     assert rook.n == 9 and rook.m == 18
     assert rook.degree_stats() == (4, 4)
 
 
 def test_lexicographic_examples():
-    g, _ = lexicographic_product(path(2), complete(2))
+    g = lexicographic_product(path(2), complete(2))
     assert are_isomorphic(g, complete(4))
-    g, _ = lexicographic_product(complete(2), Graph(2))
+    g = lexicographic_product(complete(2), Graph(2))
     assert are_isomorphic(g, cycle(4))
-    g, _ = lexicographic_product(path(3), complete(1))
+    g = lexicographic_product(path(3), complete(1))
     assert are_isomorphic(g, path(3))
 
 
@@ -44,9 +44,9 @@ def test_edge_count_formulas_random():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 5), rng.random())
         h = random_graph(rng, rng.randint(1, 5), rng.random())
-        cart, _ = cartesian_product(g, h)
+        cart = cartesian_product(g, h)
         assert cart.m == g.n * h.m + h.n * g.m
-        lex, _ = lexicographic_product(g, h)
+        lex = lexicographic_product(g, h)
         assert lex.m == g.m * h.n * h.n + g.n * h.m
 
 
@@ -56,30 +56,34 @@ def test_cartesian_commutes_up_to_isomorphism():
         for h in factors:
             if g.n * h.n > 8:
                 continue
-            a, _ = cartesian_product(g, h)
-            b, _ = cartesian_product(h, g)
+            a = cartesian_product(g, h)
+            b = cartesian_product(h, g)
             assert are_isomorphic(a, b)
 
 
 def test_lexicographic_is_not_commutative():
-    a, _ = lexicographic_product(path(3), complete(2))
-    b, _ = lexicographic_product(complete(2), path(3))
+    a = lexicographic_product(path(3), complete(2))
+    b = lexicographic_product(complete(2), path(3))
     assert a.degree_sequence() != b.degree_sequence()
 
 
-def test_vertex_map_bijection():
-    vmap = ProductVertexMap(3, 4)
-    seen = set()
-    for gv in range(3):
-        for hv in range(4):
-            idx = vmap.index(gv, hv)
-            assert vmap.pair(idx) == (gv, hv)
-            seen.add(idx)
-    assert seen == set(range(12))
-    with pytest.raises(IndexError):
-        vmap.index(3, 0)
-    with pytest.raises(IndexError):
-        vmap.pair(12)
+def test_product_layout_matches_definitions():
+    rng = random.Random(71)
+    factors = [complete(1), Graph(3)]
+    factors += [random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(14)]
+    for g in factors:
+        for h in rng.sample(factors, 5):
+            cart = cartesian_product(g, h)
+            lex = lexicographic_product(g, h)
+            assert cart.n == lex.n == g.n * h.n
+            for gv, hv, gw, hw in product(range(g.n), range(h.n), repeat=2):
+                if (gv, hv) == (gw, hw):
+                    continue
+                g_adj = g.has_edge(gv, gw)
+                h_adj = h.has_edge(hv, hw)
+                u, v = gv * h.n + hv, gw * h.n + hw
+                assert cart.has_edge(u, v) == (gv == gw and h_adj or hv == hw and g_adj)
+                assert lex.has_edge(u, v) == (g_adj or gv == gw and h_adj)
 
 
 def test_products_reject_empty_operands():

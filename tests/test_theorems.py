@@ -27,6 +27,20 @@ def test_cap_without_universe_file():
         verify("T9", max_n=9)
 
 
+def test_hard_cap_lift_needs_every_order_above_it(tmp_path):
+    # order 10 alone leaves order 9 uncovered, so the run is refused before any sweep
+    only10 = tmp_path / "n10.g6"
+    only10.write_text(write_graph6(path(10)) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="^T1 is capped at max_n=8 without a universe file$"):
+        verify("T1", max_n=10, universe=Universe([str(only10)]))
+
+
+def test_max_n_below_one_is_refused():
+    for max_n in (0, -3):
+        with pytest.raises(ValueError, match=f"^max_n must be at least 1, got {max_n}$"):
+            verify("T1", max_n=max_n)
+
+
 def test_t1_small():
     report = verify("T1", max_n=6)
     assert report.passed
@@ -144,7 +158,7 @@ def test_t16_house_counterexample_replays():
     from zfpd.products import cartesian_product
     from zfpd.families import path
 
-    prod, _ = cartesian_product(path(2), house)
+    prod = cartesian_product(path(2), house)
     assert power_domination_number(prod).value == 1
     assert power_domination_number(house).value >= 1
 
