@@ -4,12 +4,17 @@ Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
 always the smallest-bitmask minimum set.  The four set-valued solvers share
 one ``k``-subset search, ``_first_subset``, which carries the union of the
-chosen vertices' rows down its recursion.  Its shortcuts never change the
-answer: a zero forcing set can never beat the minimum degree, a total
-dominating set never has fewer than two vertices, and the domination
-searches skip a branch whose union cannot cover every vertex even with all
-the rows still available to it.  The tests compare every solver with
-unpruned reference sweeps.
+chosen vertices' rows down its recursion.  The zero forcing search carries
+the closure of that union instead, so a complete subset only spreads it
+from one more vertex; the power domination search takes one ``closure``
+per complete subset, because its sweeps usually hit early and closures
+carried down the levels would be wasted.  The shortcuts never change the
+answer: no set smaller than the minimum degree forces, a partial choice
+that already forces makes every completion force, a total dominating set
+never has fewer than two vertices, and the domination searches skip a
+branch whose union cannot cover every vertex even with all the rows still
+available to it.  The tests compare every solver with unpruned reference
+sweeps for every set size.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
@@ -22,11 +27,13 @@ refused rather than swept.  A refusal is a ``ValueError`` whose message
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .graph import Graph, bits, connected_masks, is_tree
-from .propagation import ForceLog, closure, closure_with_log
+from .propagation import ForceLog, _spread, closure, closure_with_log
 
 __all__ = [
     "ParamResult",
@@ -69,15 +76,25 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("disconnected graph")
 
 
-def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: str) -> Optional[int]:
+def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -> Optional[int]:
     """Smallest ``k``-subset mask whose union of ``rows`` covers ``g``, if any.
 
-    With ``forcing`` the union need only force the whole graph (its closure
-    covers it).  The top vertex ``t`` runs upward and the rest are chosen
-    below ``t`` the same way, which is ascending numeric order, so the first
-    hit is the smallest such mask.  Each level ORs in one row.  Without
-    ``forcing`` a branch whose union cannot reach every vertex even with all
-    rows below ``t`` is skipped; no subset in it covers, so the hit is the same.
+    The top vertex ``t`` runs upward and the rest are chosen below ``t`` the
+    same way, which is ascending numeric order, so the first hit is the
+    smallest such mask.  Each level ORs in one row.  ``rule`` says what
+    covering means:
+
+    - ``"cover"``: the union is every vertex.  A branch whose union cannot
+      reach every vertex even with all rows below ``t`` is skipped; no subset
+      in it covers, so the hit is the same.
+    - ``"force"``: the closure of the union is every vertex, computed once
+      per complete subset.
+    - ``"carry"``: the same test, but each level keeps the closure of its
+      union and spreads it from the one new row with ``_spread``, since
+      closure(closure(S) | R) = closure(S | R).  When a level's closure is
+      already every vertex, every completion forces too (closure is
+      monotone), so the hit is the smallest completion: the rest are the
+      lowest vertices.
     """
     n = g.n
     if k < 0 or k > n:
@@ -85,21 +102,31 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     if comb(n, k) > _SUBSET_CAP:
         raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask
-    below = [0] * n
-    for t in range(1, n):
-        below[t] = below[t - 1] | rows[t - 1]
+    adj = g.adj
+    force = rule == "force"
+    carry = rule == "carry"
+    # below[t] is the union of the rows below t, used by the domination prune.
+    below = list(accumulate(rows[: n - 1], or_, initial=0)) if rule == "cover" else []
 
     def search(j: int, hi: int, union: int, chosen: int) -> Optional[int]:
         # Choose the ``j`` remaining vertices from ``range(hi)``.
         if j == 1:
             for t in range(hi):
                 u = union | rows[t]
-                if (closure(g, u) if forcing else u) == full:
+                if force:
+                    u = closure(g, u)
+                elif carry and u != union:
+                    u = _spread(adj, u, u ^ union)
+                if u == full:
                     return chosen | 1 << t
             return None
         for t in range(j - 1, hi):
             u = union | rows[t]
-            if not forcing and u | below[t] != full:
+            if carry:
+                u = _spread(adj, u, u ^ union)
+                if u == full:
+                    return chosen | 1 << t | (1 << (j - 1)) - 1
+            elif not force and u | below[t] != full:
                 continue
             hit = search(j - 1, t, u, chosen | 1 << t)
             if hit is not None:
@@ -107,13 +134,19 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
         return None
 
     if k == 0:
-        return 0 if (closure(g, 0) if forcing else 0) == full else None
+        return 0 if full == 0 else None
     return search(k, n, 0, 0)
 
 
 def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
-    """Smallest-bitmask zero forcing set of size exactly ``k``, if one exists."""
-    return _first_subset(g, [1 << v for v in range(g.n)], k, True, "zero forcing")
+    """Smallest-bitmask zero forcing set of size exactly ``k``, if one exists.
+
+    Below the minimum degree there is none, and no search runs: each chosen
+    vertex keeps at least two unchosen neighbors, so nothing can force.
+    """
+    if g.n and k < g.degree_stats()[0]:
+        return None
+    return _first_subset(g, [1 << v for v in range(g.n)], k, "carry", "zero forcing")
 
 
 def _closed_rows(g: Graph) -> list[int]:
@@ -122,14 +155,13 @@ def _closed_rows(g: Graph) -> list[int]:
 
 def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     """Smallest-bitmask power dominating set of size exactly ``k``, if one exists."""
-    return _first_subset(g, _closed_rows(g), k, True, "power domination")
+    return _first_subset(g, _closed_rows(g), k, "force", "power domination")
 
 
 def zero_forcing_number(g: Graph) -> ParamResult:
     """Minimum size of a zero forcing set, with witness and force log."""
     _require_connected(g)
-    delta = g.degree_stats()[0]
-    for k in range(max(1, delta), g.n + 1):
+    for k in range(1, g.n + 1):
         m = find_zero_forcing_set(g, k)
         if m is not None:
             _, log = closure_with_log(g, m)
@@ -153,7 +185,7 @@ def domination_number(g: Graph) -> ParamResult:
     _require_connected(g)
     rows = _closed_rows(g)
     for k in range(1, g.n + 1):
-        m = _first_subset(g, rows, k, False, "domination")
+        m = _first_subset(g, rows, k, "cover", "domination")
         if m is not None:
             return ParamResult(k, m)
     raise AssertionError("unreachable: the full vertex set dominates")
@@ -166,7 +198,7 @@ def total_domination_number(g: Graph) -> ParamResult:
         raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
     for k in range(2, g.n + 1):
-        m = _first_subset(g, g.adj, k, False, "total domination")
+        m = _first_subset(g, g.adj, k, "cover", "total domination")
         if m is not None:
             return ParamResult(k, m)
     raise AssertionError("unreachable: a connected graph on >= 2 vertices has one")
@@ -177,16 +209,22 @@ def total_domination_number(g: Graph) -> ParamResult:
 
 
 def _induced_path_masks(g: Graph) -> list[int]:
-    """Masks of all vertex sets inducing a path, single vertices included."""
+    """Masks of all vertex sets inducing a path, single vertices included.
+
+    Each path grows from one end: a neighbour of the tail extends it only if
+    it sees the tail alone, which keeps the path induced.
+    """
     adj = g.adj
-
-    def extends_path(m: int, w: int) -> bool:
-        # The new vertex must see exactly one vertex of the path, an end of it.
-        rest = m ^ 1 << w
-        seen = adj[w] & rest
-        return not seen & seen - 1 and (adj[seen.bit_length() - 1] & rest).bit_count() <= 1
-
-    return connected_masks(g, extends_path)
+    found = {1 << v for v in range(g.n)}
+    stack = [(1 << v, v) for v in range(g.n)]
+    while stack:
+        mask, tail = stack.pop()
+        for w in bits(adj[tail] & ~mask):
+            if adj[w] & mask == 1 << tail:
+                grown = mask | 1 << w
+                found.add(grown)
+                stack.append((grown, w))
+    return sorted(found)
 
 
 def _spider_masks(t: Graph) -> list[int]:
@@ -220,16 +258,16 @@ def _min_partition(g: Graph, parts: list[int]) -> tuple[int, list[int]]:
     choice: dict[int, int] = {}
 
     def solve(s: int) -> int:
-        got = memo.get(s)
-        if got is not None:
-            return got
+        # Only called on a state not yet in ``memo``.
         low = s & -s
         best = g.n + 1
         pick = 0
         for q in by_low.get(low, ()):
             if q & ~s:
                 continue
-            sub = solve(s ^ q)
+            sub = memo.get(s ^ q)
+            if sub is None:
+                sub = solve(s ^ q)
             if sub + 1 < best:
                 best = sub + 1
                 pick = q

@@ -53,6 +53,34 @@ def closure(g: Graph, black: int) -> int:
         live |= black ^ before
 
 
+def _spread(adj: list[int], black: int, fresh: int) -> int:
+    """Closure of ``black``, given that ``black`` without ``fresh`` is already closed.
+
+    In a closed set no vertex can force, and a black vertex gains that
+    ability only when a neighbor turns black.  So each pass checks just the
+    black vertices in the closed neighborhood of the vertices that turned
+    black last (``fresh`` at first), and the loop ends when a pass forces
+    nothing.  No bounds check: the sweeps in ``invariants`` call this with
+    masks built from the graph's own rows.
+    """
+    near = fresh
+    while fresh:
+        low = fresh & -fresh
+        fresh ^= low
+        near |= adj[low.bit_length() - 1]
+    while near:
+        rest = near & black
+        near = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            white = adj[low.bit_length() - 1] & ~black
+            if white and not white & white - 1:
+                black |= white
+                near |= white | adj[white.bit_length() - 1]
+    return black
+
+
 @dataclass(frozen=True)
 class ForceLog:
     """Chronological list of forces plus the derived forcing chains.

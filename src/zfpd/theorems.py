@@ -756,10 +756,11 @@ def _pendant_path_dominatable(h: Graph) -> bool:
     return False
 
 
-def _product_pd1_characterization(a: Graph, b: Graph) -> bool:
+def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
+    """The structural side of T16; ``b_pendant`` is ``_pendant_path_dominatable(b)``."""
     if a.n >= 4 and b.n >= 4 and _gamma_is_one(a) and is_path(b):
         return True
-    if is_path(a) and a.n in (2, 3) and _pendant_path_dominatable(b):
+    if is_path(a) and a.n in (2, 3) and b_pendant:
         return True
     if a.n == 3 and a.m == 3 and is_path(b):
         return True
@@ -782,6 +783,8 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     str(_gp(prod)),
                 )
     factors = [g for k in range(2, 6) for g in u.connected(k)]
+    gamma = {g: _gamma(g) for g in factors}
+    pendant = {g: _pendant_path_dominatable(g) for g in factors}
     for g in factors:
         for h in factors:
             if g.n * h.n > 20:
@@ -790,11 +793,11 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             prod = cartesian_product(g, h)
             actual = _pd_exists(prod, 1)
             candidates = []
-            if _gamma(g) <= _gamma(h):
+            if gamma[g] <= gamma[h]:
                 candidates.append((g, h))
-            if _gamma(h) <= _gamma(g):
+            if gamma[h] <= gamma[g]:
                 candidates.append((h, g))
-            pred = any(_product_pd1_characterization(a, b) for a, b in candidates)
+            pred = any(_product_pd1_characterization(a, b, pendant[b]) for a, b in candidates)
             if actual != pred:
                 run.fail(
                     prod,

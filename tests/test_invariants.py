@@ -10,6 +10,7 @@ from zfpd.families import (
     enumerate_connected,
     enumerate_trees,
     h_graph,
+    parse_graph6,
     path,
     spider,
     star,
@@ -17,6 +18,8 @@ from zfpd.families import (
 )
 from zfpd.invariants import (
     domination_number,
+    find_power_dominating_set,
+    find_zero_forcing_set,
     is_spider,
     path_cover_number,
     power_domination_number,
@@ -38,6 +41,7 @@ from oracles import (
     naive_total_domination,
     naive_zero_forcing,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -231,8 +235,28 @@ def test_solvers_match_first_hit_sweep():
                 assert (res.value, res.witness) == _first_hit(g, start, holds), (solver.__name__, g)
 
 
+def test_forcing_sweeps_match_first_hit_for_every_size():
+    # Every size k, not only the minimum: the zero forcing sweep stops early
+    # once a partial choice forces, and answers None below the minimum degree.
+    rng = random.Random(67)
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [random_graph(rng, n, p) for n in range(7, 14) for p in (0.15, 0.3, 0.5)]
+    for g in graphs:
+        for k in range(g.n + 1):
+            zf = next((m for m in k_subsets(g.n, k) if is_zero_forcing_set(g, m)), None)
+            pd = next((m for m in k_subsets(g.n, k) if is_power_dominating_set(g, m)), None)
+            assert find_zero_forcing_set(g, k) == zf, (g, k)
+            assert find_power_dominating_set(g, k) == pd, (g, k)
+
+
+def test_zero_forcing_sweep_rechecks_neighbours_of_forced_vertices():
+    # From {0, 2}, 0 forces 4, and only then can 2 (a neighbour of 4, not its
+    # forcer) force 3; a sweep that skips such vertices finds no set of size 2.
+    assert find_zero_forcing_set(parse_graph6("D@{"), 2) == 0b101
+
+
 def test_min_degree_bound_is_safe():
-    # No set below the minimum degree can force, so the solver may start there.
+    # No set below the minimum degree can force, so the search answers None there unswept.
     for g in [cycle(5), complete(5), complete_multipartite((2, 3)), wheel(6)]:
         delta = g.degree_stats()[0]
         for k in range(0, delta):

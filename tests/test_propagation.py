@@ -15,6 +15,7 @@ from zfpd.families import (
     wheel,
 )
 from zfpd.propagation import (
+    _spread,
     closure,
     closure_with_log,
     is_power_dominating_set,
@@ -108,6 +109,20 @@ def test_closure_properties_random():
         sup = u | rng.randrange(1 << g.n)
         assert closure(g, sup) & cl == cl  # monotone
         assert closure_random_order(g, u, rng) == cl  # order-independent
+
+
+def test_spread_matches_closure_from_a_closed_set():
+    # Spreading from a closed set plus extra vertices is the closure of the
+    # whole; sparse graphs and one or two extras make the forcing run on.
+    rng = random.Random(61)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 14), rng.random() * rng.choice((0.3, 1.0)))
+        closed = closure(g, mask_of(v for v in range(g.n) if rng.random() < 0.3))
+        extra = mask_of(rng.sample(range(g.n), rng.randint(0, min(2, g.n))))
+        if rng.random() < 0.3:
+            extra |= rng.randrange(1 << g.n)
+        fresh = extra & ~closed
+        assert _spread(g.adj, closed | extra, fresh) == closure(g, closed | extra)
 
 
 def test_zero_forcing_set_examples():
