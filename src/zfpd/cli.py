@@ -159,20 +159,6 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
     return write_graph6(result) + "\n", 0
 
 
-# Set only inside a pool worker, by the pool's initializer, and read by every
-# verifier that worker runs.
-_worker_universe: Universe | None = None
-
-
-def _set_worker_universe(universe: Universe) -> None:
-    global _worker_universe
-    _worker_universe = universe
-
-
-def _verify_in_worker(tid: str, max_n: int | None) -> theorems.VerifyReport:
-    return theorems.verify(tid, max_n=max_n, universe=_worker_universe)
-
-
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
     if not wanted:
@@ -187,12 +173,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         )
     universe = Universe(args.universe or ())
     if args.workers > 1 and len(ids) > 1:
-        # Each worker receives the universe once, through the initializer, and
-        # the verifier by name: a wrapper bound at cli.verify cannot be pickled.
-        with ProcessPoolExecutor(
-            max_workers=args.workers, initializer=_set_worker_universe, initargs=(universe,)
-        ) as pool:
-            futures = [pool.submit(_verify_in_worker, t, args.max_n) for t in ids]
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
+            futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
             reports = [f.result() for f in futures]
     else:
         reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]

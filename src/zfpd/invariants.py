@@ -27,9 +27,7 @@ refused rather than swept.  A refusal is a ``ValueError`` whose message
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
-from operator import or_
 from typing import Optional, Sequence, Union
 
 from .graph import Graph, bits, connected_masks, is_tree
@@ -90,12 +88,14 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -
     - ``"force"``: the closure of the union is every vertex, computed once
       per complete subset.
     - ``"carry"``: the same test, but each level keeps the closure of its
-      union and spreads it from the one new row with ``_spread``, since
-      closure(closure(S) | R) = closure(S | R).  When a level's closure is
-      already every vertex, every completion forces too (closure is
+      union and spreads it with ``_spread``, since closure(closure(S) | R)
+      = closure(S | R).  Only the new vertex and its neighbors can start a
+      force, so the spread checks just them first.  When a level's closure
+      is already every vertex, every completion forces too (closure is
       monotone), so the hit is the smallest completion: the rest are the
       lowest vertices.
     """
+    assert rule in ("cover", "force", "carry"), rule
     n = g.n
     if k < 0 or k > n:
         return None
@@ -105,8 +105,10 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -
     adj = g.adj
     force = rule == "force"
     carry = rule == "carry"
-    # below[t] is the union of the rows below t, used by the domination prune.
-    below = list(accumulate(rows[: n - 1], or_, initial=0)) if rule == "cover" else []
+    below = [0] * n
+    if rule == "cover":
+        for t in range(1, n):
+            below[t] = below[t - 1] | rows[t - 1]
 
     def search(j: int, hi: int, union: int, chosen: int) -> Optional[int]:
         # Choose the ``j`` remaining vertices from ``range(hi)``.
@@ -116,14 +118,15 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -
                 if force:
                     u = closure(g, u)
                 elif carry and u != union:
-                    u = _spread(adj, u, u ^ union)
+                    u = _spread(adj, u, rows[t] | adj[t])
                 if u == full:
                     return chosen | 1 << t
             return None
         for t in range(j - 1, hi):
             u = union | rows[t]
             if carry:
-                u = _spread(adj, u, u ^ union)
+                if u != union:
+                    u = _spread(adj, u, rows[t] | adj[t])
                 if u == full:
                     return chosen | 1 << t | (1 << (j - 1)) - 1
             elif not force and u | below[t] != full:

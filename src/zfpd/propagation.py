@@ -30,44 +30,24 @@ def _check_subset(g: Graph, mask: int) -> None:
 def closure(g: Graph, black: int) -> int:
     """Fixed point of the color-change rule starting from ``black``.
 
-    A worklist of live black vertices: a live vertex with at most one white
-    neighbor forces it, if it has one, and retires for good, since white
-    neighborhoods only shrink.  Vertices forced in a pass are live in the
-    next; a pass that forces nothing ends the loop.
+    Any vertex of ``black`` may be able to force, so all of them are checked
+    first; see ``_spread``.
     """
     _check_subset(g, black)
-    adj = g.adj
-    live = black
-    while True:
-        before = black
-        rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            white = adj[low.bit_length() - 1] & ~black
-            if not white & white - 1:
-                black |= white
-                live ^= low
-        if black == before:
-            return black
-        live |= black ^ before
+    return _spread(g.adj, black, black)
 
 
-def _spread(adj: list[int], black: int, fresh: int) -> int:
-    """Closure of ``black``, given that ``black`` without ``fresh`` is already closed.
+def _spread(adj: list[int], black: int, near: int) -> int:
+    """Closure of ``black``, given that every black vertex able to force lies in ``near``.
 
-    In a closed set no vertex can force, and a black vertex gains that
-    ability only when a neighbor turns black.  So each pass checks just the
-    black vertices in the closed neighborhood of the vertices that turned
-    black last (``fresh`` at first), and the loop ends when a pass forces
-    nothing.  No bounds check: the sweeps in ``invariants`` call this with
-    masks built from the graph's own rows.
+    A black vertex gains that ability only when a neighbor turns black.  So
+    each pass checks the black vertices of ``near``, then ``near`` becomes the
+    closed neighborhood of the vertices that turned black in the pass, and
+    the loop ends when a pass forces nothing.  A vertex that forces, or has
+    no white neighbor, never forces again.  No bounds check: ``closure``
+    makes it, and the zero forcing sweep in ``invariants`` builds its masks
+    from the graph's own rows.
     """
-    near = fresh
-    while fresh:
-        low = fresh & -fresh
-        fresh ^= low
-        near |= adj[low.bit_length() - 1]
     while near:
         rest = near & black
         near = 0

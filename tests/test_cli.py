@@ -250,27 +250,6 @@ def test_verify_parses_each_universe_line_once(capsys, tmp_path, monkeypatch):
     assert calls == lines
 
 
-def test_verify_pool_sends_the_universe_once_per_worker(capsys, monkeypatch):
-    from zfpd.theorems import Universe
-
-    pickled = []
-
-    def counting(self, protocol):
-        pickled.append(self)
-        return object.__reduce_ex__(self, protocol)
-
-    monkeypatch.setattr(Universe, "__reduce_ex__", counting, raising=False)
-    args = ("verify", "--ids", "T1,T3,T4,T8", "--max-n", "5", "--format", "json")
-    code, out, _ = run(capsys, *args, "--workers", "2")
-    assert len(pickled) <= 2
-    code1, serial, _ = run(capsys, *args, "--workers", "1")
-    assert code == code1 == 0
-    a, b = json.loads(out), json.loads(serial)
-    for r in a["reports"] + b["reports"]:
-        r.pop("elapsed_s")
-    assert a == b
-
-
 def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
     import zfpd.cli as cli
 
