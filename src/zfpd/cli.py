@@ -172,8 +172,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             f"unknown theorem id {', '.join(map(repr, bad))} (known ids: {', '.join(theorem_ids())})"
         )
     universe = Universe(args.universe or ())
-    if args.workers > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # A fork pool starts all its workers at the first submit, so start no more than there are jobs.
+    workers = min(args.workers, len(ids))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
             futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
             reports = [f.result() for f in futures]
@@ -231,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--universe", action="append", default=None, help="graph6 universe file (repeatable)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="verifier processes; 1 keeps everything in-process and serial")
+                   help="verifier processes, at most one per verifier; "
+                        "1 keeps everything in-process and serial")
     p.add_argument("--format", choices=["json", "table"], default=None)
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(fn=_cmd_verify)

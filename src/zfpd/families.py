@@ -152,17 +152,26 @@ def wagner_graph() -> Graph:
     return Graph(8, edges)
 
 
-FAMILY_NAMES = (
-    "path",
-    "cycle",
-    "complete",
-    "multipartite",
-    "star",
-    "wheel",
-    "spider",
-    "hgraph",
-    "wagner",
-)
+# name -> (constructor, the one option it takes: "n", "parts", "legs" or None)
+_FAMILIES: dict[str, tuple[Callable[..., Graph], str | None]] = {
+    "path": (path, "n"),
+    "cycle": (cycle, "n"),
+    "complete": (complete, "n"),
+    "multipartite": (complete_multipartite, "parts"),
+    "star": (star, "n"),
+    "wheel": (wheel, "n"),
+    "spider": (spider, "legs"),
+    "hgraph": (h_graph, None),
+    "wagner": (wagner_graph, None),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
+
+# option -> (refusal when a family needs it but it is missing, what it gives)
+_OPTIONS = {
+    "n": ("family {!r} needs an order", "order"),
+    "parts": ("{} needs part sizes", "part sizes"),
+    "legs": ("{} needs leg lengths", "leg lengths"),
+}
 
 
 def generate(
@@ -172,36 +181,23 @@ def generate(
     parts: Sequence[int] | None = None,
     legs: Sequence[int] | None = None,
 ) -> Graph:
-    """Build a named family member; the single dispatch point used by the CLI."""
-    if family == "path":
-        return path(_need_n(family, n))
-    if family == "cycle":
-        return cycle(_need_n(family, n))
-    if family == "complete":
-        return complete(_need_n(family, n))
-    if family == "star":
-        return star(_need_n(family, n))
-    if family == "wheel":
-        return wheel(_need_n(family, n))
-    if family == "multipartite":
-        if parts is None:
-            raise ValueError("multipartite needs part sizes")
-        return complete_multipartite(parts)
-    if family == "spider":
-        if legs is None:
-            raise ValueError("spider needs leg lengths")
-        return spider(legs)
-    if family == "hgraph":
-        return h_graph()
-    if family == "wagner":
-        return wagner_graph()
-    raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILY_NAMES)})")
+    """Build a named family member; the single dispatch point used by the CLI.
 
-
-def _need_n(family: str, n: int | None) -> int:
-    if n is None:
-        raise ValueError(f"family {family!r} needs an order")
-    return n
+    A family takes at most one of ``n``, ``parts`` and ``legs``.  Leaving out
+    the one it takes, or giving one it does not take, is refused.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILY_NAMES)})")
+    build, takes = _FAMILIES[family]
+    given = {"n": n, "parts": parts, "legs": legs}
+    for option, value in given.items():
+        if value is not None and option != takes:
+            raise ValueError(f"family {family!r} takes no {_OPTIONS[option][1]}")
+    if takes is None:
+        return build()
+    if given[takes] is None:
+        raise ValueError(_OPTIONS[takes][0].format(family))
+    return build(given[takes])
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +382,6 @@ def _canon(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(key), states[0][2]
 
 
-@lru_cache(maxsize=65536)
-def _canon_cached(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return _canon(adj)
-
-
 def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
     """Adjacency rows after moving vertex ``order[i]`` to label ``i``."""
     moved = [0] * len(adj)
@@ -407,12 +398,12 @@ def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
 
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Isomorphism-invariant key: two graphs share it iff they are isomorphic."""
-    return (g.n,) + _canon_cached(g.adj)[0]
+    return (g.n,) + _canon(g.adj)[0]
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """An ordering realizing the canonical key; entry i is the old label at position i."""
-    return _canon_cached(g.adj)[1]
+    return _canon(g.adj)[1]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -11,7 +11,7 @@ distances and eccentricities all come from one breadth-first search,
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
@@ -21,7 +21,6 @@ __all__ = [
     "is_path",
     "is_tree",
     "induces_connected",
-    "connected_masks",
 ]
 
 
@@ -278,25 +277,3 @@ def induces_connected(g: Graph, mask: int) -> bool:
     if mask == 0:
         return False
     return sum(g._layers(mask & -mask, mask)) == mask
-
-
-def connected_masks(g: Graph, keep: Callable[[int, int], bool] | None = None) -> list[int]:
-    """Sorted masks of the connected vertex sets that ``keep`` admits.
-
-    Each set grows from a single vertex, one neighbour ``w`` at a time, and
-    the grown set ``m`` is kept only if ``keep(m, w)`` holds (always, when
-    ``keep`` is None).  This lists a family exactly when every member of
-    size two or more loses some vertex and stays in the family: a path
-    loses an end, a spider a leaf, a connected set a non-cut vertex.
-    """
-    adj = g.adj
-    found = {1 << v for v in range(g.n)}
-    stack = [(1 << v, adj[v]) for v in range(g.n)]
-    while stack:
-        mask, reach = stack.pop()
-        for w in bits(reach & ~mask):
-            m = mask | 1 << w
-            if m not in found and (keep is None or keep(m, w)):
-                found.add(m)
-                stack.append((m, reach | adj[w]))
-    return sorted(found)

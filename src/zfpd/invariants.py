@@ -3,18 +3,24 @@
 Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
 always the smallest-bitmask minimum set.  The four set-valued solvers share
-one ``k``-subset search, ``_first_subset``, which carries the union of the
-chosen vertices' rows down its recursion.  The zero forcing search carries
-the closure of that union instead, so a complete subset only spreads it
-from one more vertex; the power domination search takes one ``closure``
-per complete subset, because its sweeps usually hit early and closures
-carried down the levels would be wasted.  The shortcuts never change the
-answer: no set smaller than the minimum degree forces, a partial choice
-that already forces makes every completion force, a total dominating set
-never has fewer than two vertices, and the domination searches skip a
-branch whose union cannot cover every vertex even with all the rows still
-available to it.  The tests compare every solver with unpruned reference
-sweeps for every set size.
+one ascending size loop, ``_minimum``, and one ``k``-subset search,
+``_first_subset``, which carries the union of the chosen vertices' rows down
+its recursion.  The zero forcing search carries the closure of that union
+instead, so a complete subset only spreads it from one more vertex; the
+power domination search takes one ``closure`` per complete subset, because
+its sweeps usually hit early and closures carried down the levels would be
+wasted.  The shortcuts never change the answer: no set smaller than the
+minimum degree forces, a partial choice that already forces makes every
+completion force, a total dominating set never has fewer than two
+vertices, and the domination searches skip a branch whose union cannot
+cover every vertex even with all the rows still available to it.  The
+tests compare every solver with unpruned reference sweeps for every set
+size.
+
+The two partition-valued solvers list their candidate parts, the induced
+paths of a graph or the spiders of a tree, by growing each one a vertex at
+a time from a single vertex, and then pick the fewest parts that partition
+the vertices with one subset dynamic program, ``_min_partition``.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
@@ -28,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .graph import Graph, bits, connected_masks, is_tree
+from .graph import Graph, bits, is_tree
 from .propagation import ForceLog, _spread, closure, closure_with_log
 
 __all__ = [
@@ -161,50 +167,47 @@ def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     return _first_subset(g, _closed_rows(g), k, "force", "power domination")
 
 
+def _minimum(g: Graph, find: Callable[[Graph, int], Optional[int]], lo: int) -> tuple[int, int]:
+    """Smallest ``k >= lo`` for which ``find(g, k)`` returns a set, and that set.
+
+    Refuses an empty or disconnected ``g``.  On a connected graph the whole
+    vertex set qualifies for every parameter solved here, so some ``k <= n``
+    always does.
+    """
+    _require_connected(g)
+    for k in range(lo, g.n + 1):
+        m = find(g, k)
+        if m is not None:
+            return k, m
+    raise AssertionError("unreachable: the full vertex set always qualifies")
+
+
 def zero_forcing_number(g: Graph) -> ParamResult:
     """Minimum size of a zero forcing set, with witness and force log."""
-    _require_connected(g)
-    for k in range(1, g.n + 1):
-        m = find_zero_forcing_set(g, k)
-        if m is not None:
-            _, log = closure_with_log(g, m)
-            return ParamResult(k, m, log)
-    raise AssertionError("unreachable: the full vertex set always forces")
+    k, m = _minimum(g, find_zero_forcing_set, 1)
+    return ParamResult(k, m, closure_with_log(g, m)[1])
 
 
 def power_domination_number(g: Graph) -> ParamResult:
     """Minimum size of a power dominating set, with witness and force log."""
-    _require_connected(g)
-    for k in range(1, g.n + 1):
-        m = find_power_dominating_set(g, k)
-        if m is not None:
-            _, log = closure_with_log(g, g.closed_neighborhood(m))
-            return ParamResult(k, m, log)
-    raise AssertionError("unreachable: the full vertex set always power dominates")
+    k, m = _minimum(g, find_power_dominating_set, 1)
+    return ParamResult(k, m, closure_with_log(g, g.closed_neighborhood(m))[1])
 
 
 def domination_number(g: Graph) -> ParamResult:
     """Minimum size of a dominating set."""
-    _require_connected(g)
     rows = _closed_rows(g)
-    for k in range(1, g.n + 1):
-        m = _first_subset(g, rows, k, "cover", "domination")
-        if m is not None:
-            return ParamResult(k, m)
-    raise AssertionError("unreachable: the full vertex set dominates")
+    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, "cover", "domination"), 1)
+    return ParamResult(k, m)
 
 
 def total_domination_number(g: Graph) -> ParamResult:
     """Minimum size of a total dominating set (every vertex has a neighbor in it)."""
-    _require_connected(g)
     if g.n == 1:
         raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
-    for k in range(2, g.n + 1):
-        m = _first_subset(g, g.adj, k, "cover", "total domination")
-        if m is not None:
-            return ParamResult(k, m)
-    raise AssertionError("unreachable: a connected graph on >= 2 vertices has one")
+    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, "cover", "total domination"), 2)
+    return ParamResult(k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +234,30 @@ def _induced_path_masks(g: Graph) -> list[int]:
 
 
 def _spider_masks(t: Graph) -> list[int]:
-    """Masks of the vertex sets inducing a spider in the tree ``t``."""
+    """Masks of the vertex sets inducing a spider in the tree ``t``.
+
+    Each spider grows from one vertex, one neighbour ``w`` at a time, since a
+    spider that loses a leaf is still one.  In a tree ``w`` sees exactly one
+    vertex ``u`` of the set, and only ``u`` gains in-set degree, so a second
+    branch vertex can appear only when ``u`` has just reached degree 3.
+    """
     adj = t.adj
-
-    def extends_spider(m: int, w: int) -> bool:
-        # The set without ``w`` is a spider and, in a tree, ``w`` sees exactly one
-        # vertex ``u`` of it; only ``u`` gains in-set degree, so a second branch
-        # vertex can appear only when ``u`` has just reached degree 3.
-        u = (adj[w] & m).bit_length() - 1
-        if (adj[u] & m).bit_count() != 3:
-            return True
-        return all((adj[v] & m).bit_count() <= 2 for v in bits(m ^ 1 << u))
-
-    return connected_masks(t, extends_spider)
+    found = {1 << v for v in range(t.n)}
+    stack = [(1 << v, adj[v]) for v in range(t.n)]
+    while stack:
+        mask, reach = stack.pop()
+        for w in bits(reach & ~mask):
+            m = mask | 1 << w
+            if m in found:
+                continue
+            u = (adj[w] & mask).bit_length() - 1
+            if (adj[u] & m).bit_count() == 3 and any(
+                (adj[v] & m).bit_count() > 2 for v in bits(m ^ 1 << u)
+            ):
+                continue
+            found.add(m)
+            stack.append((m, reach | adj[w]))
+    return sorted(found)
 
 
 def _min_partition(g: Graph, parts: list[int]) -> tuple[int, list[int]]:

@@ -83,8 +83,8 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def count(self, k: int = 1) -> None:
-        self.checked += k
+    def count(self) -> None:
+        self.checked += 1
 
     def fail(self, g: Graph, expected: str, observed: str) -> None:
         self.failures.append(Failure(write_graph6(g), expected, observed))
@@ -112,12 +112,14 @@ class Universe:
     the built-in enumeration for every order it contains, which is how orders
     beyond the built-in cap reach the harness.  Files are parsed and filtered
     here, once: graphs that are not connected, the order-0 graph among them,
-    are dropped.  A built-in order is enumerated on first use.  ``connected``
-    and ``trees`` return the same tuple on every call.
+    are dropped, and so is a repeat of a graph already read, from the same
+    file or another; isomorphic relabelings are kept.  A built-in order is
+    enumerated on first use.  ``connected`` and ``trees`` return the same
+    tuple on every call.
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
-        by_order: dict[int, list[Graph]] = {}
+        by_order: dict[int, dict[Graph, None]] = {}
         self._names: dict[int, dict[str, None]] = {}
         for fname in files:
             # latin-1 decodes every byte, so a stray one is reported with its line.
@@ -125,7 +127,7 @@ class Universe:
                 graphs = read_graph6_lines(fh)
             base = os.path.basename(fname)
             for g in graphs:
-                by_order.setdefault(g.n, []).append(g)
+                by_order.setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                 self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
         self._connected = {n: tuple(g for g in gs if n and g.is_connected()) for n, gs in by_order.items()}
         self._trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in self._connected.items()}
@@ -162,13 +164,9 @@ def _gp(g: Graph) -> int:
     return power_domination_number(g).value
 
 
-def _pd_exists(g: Graph, k: int) -> bool:
-    return find_power_dominating_set(g, k) is not None
-
-
 def _pd_at_most(g: Graph, k: int) -> bool:
     # Closure is monotone, so a superset of a power dominating set is one too.
-    return _pd_exists(g, min(k, g.n))
+    return find_power_dominating_set(g, min(k, g.n)) is not None
 
 
 def _zf_exists(g: Graph, k: int) -> bool:
@@ -292,7 +290,7 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
             run.count()
             dom1 = _gamma_is_one(g)  # same thing as a universal vertex
             lhs = g.degree_stats()[1] == n - 1
-            pd1 = _pd_exists(g, 1)
+            pd1 = _pd_at_most(g, 1)
             rhs = dom1 and pd1
             if lhs != rhs:
                 run.fail(
@@ -318,7 +316,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, 6):
         for g in u.connected(n):
             run.count()
-            if not _pd_exists(g, 1):
+            if not _pd_at_most(g, 1):
                 run.fail(g, "power domination number 1 (order <= 5)", "needs >= 2")
     hg = h_graph()
     run.count()
@@ -328,7 +326,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     two_at_six = []
     for g in u.connected(6):
         run.count()
-        if not _pd_exists(g, 1):
+        if not _pd_at_most(g, 1):
             two_at_six.append(write_graph6(g))
     run.note(
         f"order-6 graphs needing 2 power dominators: {len(two_at_six)} "
@@ -346,7 +344,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
         for g in u.connected(n):
             if _twin_free(g):
                 run.count()
-                if not _pd_exists(g, 1):
+                if not _pd_at_most(g, 1):
                     run.fail(
                         g,
                         "twin-free graphs of order <= 7 have power domination number 1",
@@ -504,13 +502,13 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
                     str(_gp(g)),
                 )
             if d <= 3 and is_outerplanar(g):
-                if not _pd_exists(g, 1):
+                if not _pd_at_most(g, 1):
                     run.fail(
                         g,
                         "outerplanar with diameter <= 3: power domination number 1",
                         str(_gp(g)),
                     )
-                if d <= 2 and not _pd_exists(g, 1):
+                if d <= 2 and not _pd_at_most(g, 1):
                     variant_bad += 1
     if variant_bad:
         run.note(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")
@@ -527,7 +525,7 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
             run.count()
             delta = g.degree_stats()[1]
             if delta >= n - 2:
-                if not _pd_exists(g, 1):
+                if not _pd_at_most(g, 1):
                     run.fail(
                         g,
                         "max degree >= n-2: power domination number 1",
@@ -577,7 +575,7 @@ def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
                     )
                 if rhs:
                     all_twins = False
-            if witness is None and all_twins and _pd_exists(g, 1):
+            if witness is None and all_twins and _pd_at_most(g, 1):
                 witness = g
     if witness is not None:
         run.note(
@@ -607,7 +605,7 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
                 skipped += 1
                 continue
             run.count()
-            lhs = _pd_exists(g, 1)
+            lhs = _pd_at_most(g, 1)
             rhs = False
             for a, b in g.edges():
                 na = g.closed_neighbors(a)
@@ -772,7 +770,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     for n in range(1, cap + 1):
         for g in u.connected(n):
-            if not _pd_exists(g, 1):
+            if not _pd_at_most(g, 1):
                 continue
             run.count()
             prod = cartesian_product(g, p2)
@@ -791,7 +789,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                 continue
             run.count()
             prod = cartesian_product(g, h)
-            actual = _pd_exists(prod, 1)
+            actual = _pd_at_most(prod, 1)
             candidates = []
             if gamma[g] <= gamma[h]:
                 candidates.append((g, h))
@@ -810,7 +808,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
         if witness is not None:
             break
         for g in u.connected(n):
-            if _pd_exists(g, 1) or not _pd_exists(g, 2):
+            if _pd_at_most(g, 1) or not _pd_at_most(g, 2):
                 continue  # wants power domination number exactly 2
             run.count()
             prod = cartesian_product(g, p2)

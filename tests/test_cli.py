@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 from zfpd.cli import main
 from zfpd.families import are_isomorphic, enumerate_connected, parse_graph6, path, star, wheel, write_graph6
@@ -24,6 +28,22 @@ def test_gen_invalid_family(capsys):
     code, _, err = run(capsys, "gen", "--family", "nope", "--n", "4")
     assert code == 2
     assert "unknown family" in err
+
+
+def test_gen_refuses_an_option_the_family_does_not_take(capsys):
+    for argv, message in (
+        (("--family", "hgraph", "--n", "5"), "family 'hgraph' takes no order"),
+        (("--family", "path", "--n", "3", "--parts", "2,2"), "family 'path' takes no part sizes"),
+        (("--family", "spider", "--n", "4", "--legs", "1,1,1"), "family 'spider' takes no order"),
+        (("--family", "multipartite", "--parts", "2,2", "--legs", "1,1,1"), "family 'multipartite' takes no leg lengths"),
+        (("--family", "wagner", "--legs", "1,1,1"), "family 'wagner' takes no leg lengths"),
+        # a family missing the option it takes keeps its message
+        (("--family", "path"), "family 'path' needs an order"),
+        (("--family", "multipartite"), "multipartite needs part sizes"),
+        (("--family", "spider"), "spider needs leg lengths"),
+    ):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_gen_wagner(capsys):
@@ -265,6 +285,65 @@ def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
     assert code == 0 and calls == []
     code, _, _ = run(capsys, "verify", "--ids", "T1,T3", "--max-n", "4", "--format", "json", "--workers", "1")
     assert code == 0 and calls == ["T1", "T3"]
+
+
+def test_verify_starts_at_most_one_worker_per_verifier(capsys, monkeypatch):
+    from concurrent.futures import Future
+
+    import zfpd.cli as cli
+
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size asked for and runs each job at submit; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            done = Future()
+            done.set_result(fn(*args, **kwargs))
+            return done
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    args = ("verify", "--max-n", "4", "--workers", "64", "--format", "json")
+    code, out, _ = run(capsys, *args, "--ids", "T1,T14")
+    assert code == 0 and sizes == [2]
+    assert [r["theorem"] for r in json.loads(out)["reports"]] == ["T1", "T14"]
+    code, _, _ = run(capsys, *args, "--ids", "T1")
+    assert code == 0 and sizes == [2]  # one verifier runs in-process, without a pool
+
+
+def test_runtime_loads_only_standard_library_modules(tmp_path):
+    # Run in a fresh interpreter, so the test tools loaded here do not count.
+    import zfpd
+
+    script = textwrap.dedent(
+        """
+        import sys
+        before = set(sys.modules)
+        import zfpd.cli
+        status = zfpd.cli.main(sys.argv[1:])
+        loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(sorted(loaded - set(sys.stdlib_module_names) - {"zfpd", "__mp_main__"}))
+        sys.exit(status)
+        """
+    )
+    argv = ["verify", "--ids", "T1,T14", "--max-n", "4", "--workers", "2", "--out", str(tmp_path / "r.json")]
+    src = str(pathlib.Path(zfpd.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    assert json.loads((tmp_path / "r.json").read_text())["reports"][1]["theorem"] == "T14"
 
 
 def test_tracer_bindings_exist():

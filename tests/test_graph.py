@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from zfpd.graph import (
     Graph,
     bits,
-    connected_masks,
     mask_of,
     k_subsets,
     is_path,
@@ -19,7 +18,6 @@ from zfpd.families import complete, cycle, enumerate_connected, enumerate_trees,
 from zfpd.invariants import _induced_path_masks, _spider_masks
 
 from oracles import (
-    _connected_subset,
     _induces_path,
     _induces_spider,
     adj_sets,
@@ -243,12 +241,11 @@ def test_all_graphs_helper_counts():
     assert [sum(1 for _ in _all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
-def test_connected_masks_match_brute_filter():
+def test_induced_path_masks_match_brute_filter():
     rng = random.Random(2024)
     small = chain.from_iterable(_all_graphs(n) for n in range(1, 7))
     sampled = [random_graph(rng, n, p) for n in range(7, 11) for p in (0.2, 0.35, 0.6)]
     for g in chain(small, sampled):
-        assert connected_masks(g) == _brute(g, _connected_subset), g
         assert _induced_path_masks(g) == _brute(g, _induces_path), g
 
 
@@ -258,19 +255,6 @@ def test_spider_masks_match_brute_filter_on_trees():
     sampled = [_random_tree(rng, n) for n in range(7, 11) for _ in range(3)]
     for t in chain(small, sampled):
         assert _spider_masks(t) == _brute(t, _induces_spider), t
-
-
-def test_connected_masks_keep_gets_grown_set_and_new_vertex():
-    asked = []
-
-    def at_most_two(m: int, w: int) -> bool:
-        asked.append((m, w))
-        return m.bit_count() <= 2
-
-    pairs = [0b11, 0b110, 0b1100, 0b11000, 0b10001]
-    assert connected_masks(cycle(5), at_most_two) == sorted([1 << v for v in range(5)] + pairs)
-    assert asked and all(m >> w & 1 for m, w in asked)
-    assert connected_masks(Graph(0)) == []
 
 
 @given(st.integers(0, 7), st.data())

@@ -1,6 +1,7 @@
 import pytest
 
 from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
+from zfpd.graph import Graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
 from zfpd.theorems import Universe, _pd_at_most, claim_of, theorem_ids, verify
@@ -186,9 +187,23 @@ def test_universe_files_override_orders(tmp_path):
     a.write_text(write_graph6(wagner_graph()) + "\n", encoding="ascii")
     b.write_text(write_graph6(cycle(8)) + "\n" + write_graph6(complete(5)) + "\n", encoding="ascii")
     u = Universe([str(a), str(b), str(a)])
-    assert len(u.connected(8)) == 3  # the Wagner graph twice, then the 8-cycle
+    assert len(u.connected(8)) == 2  # the Wagner graph once, then the 8-cycle
     assert u.source(8) == "a.g6, b.g6"
     assert u.source(5) == "b.g6"
+
+
+def test_universe_keeps_one_copy_of_a_repeated_graph(tmp_path):
+    twice = tmp_path / "twice.g6"
+    twice.write_text("Bw\nBw\n", encoding="ascii")  # the triangle, listed twice
+    for files in ([twice], [twice, twice]):
+        report = verify("T1", max_n=3, universe=Universe([str(f) for f in files]))
+        assert report.checked == 3, files  # orders 1 and 2 built in, one triangle
+    # an isomorphic relabeling is a different graph6 line and is kept
+    relabeled = tmp_path / "p3.g6"
+    p3 = (path(3), Graph(3, [(0, 2), (2, 1)]))
+    relabeled.write_text("".join(write_graph6(g) + "\n" for g in p3), encoding="ascii")
+    u = Universe([str(relabeled)])
+    assert len(u.connected(3)) == 2 and len(u.trees(3)) == 2
 
 
 def test_verify_with_universe_file(tmp_path):
