@@ -165,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("no theorem ids given")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    ids = theorem_ids() if wanted == ["all"] else wanted
+    ids = theorem_ids() if wanted == ["all"] else list(dict.fromkeys(wanted))
     bad = [t for t in ids if t not in theorem_ids()]
     if bad:
         raise ValueError(

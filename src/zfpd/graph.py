@@ -43,8 +43,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 def k_subsets(n: int, k: int) -> Iterator[int]:
     """Yield every k-subset of ``{0..n-1}`` as a mask, in increasing numeric order.
 
-    Uses Gosper's hack.  The ascending order is what makes witness
-    tie-breaking deterministic: the first hit is the smallest bitmask.
+    Uses Gosper's hack.  No solver calls it; the tests use it as the
+    reference order, in which the first hit is the smallest bitmask.
     """
     if k < 0 or k > n:
         return

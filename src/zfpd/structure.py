@@ -1,23 +1,20 @@
-"""Minor containment for small patterns and the derived planarity predicates.
+"""Minor containment for small patterns, planarity and outerplanarity.
 
 A pattern is a minor exactly when some sequence of edge contractions of the
-host contains the pattern as a subgraph, so the engine walks the contraction
-closure, memoized on isomorphism classes (contractions of different hosts
-coincide a lot, which is what makes sweeping hundreds of graphs cheap).
-Witnesses come from the same engine: once it accepts a host, following its
-accepted contractions down to a host that embeds the pattern, while tracking
-which original vertices each merged vertex stands for, yields branch sets.
+host contains the pattern as a subgraph.  One depth-first search walks the
+contractions, carrying the original vertices each merged vertex stands for,
+so the first host that embeds the pattern hands back the branch sets.  Hosts
+that hold no model are remembered by isomorphism class: contractions of
+different hosts coincide a lot.
 
-Both planarity predicates ride on the same engine: outerplanarity excludes
-complete-4 and complete-bipartite-2-3 minors, planarity excludes complete-5
-and complete-bipartite-3-3 minors, each behind the classical edge-count
-prefilter.
+Planarity excludes complete-5 and complete-bipartite-3-3 minors behind the
+edge-count prefilter.  Outerplanarity needs no minor search: it peels
+vertices of degree at most 2, as in Mitchell's linear-time reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graph import Graph, bits, induces_connected
 from .families import _iso_key, canonical_key, complete, complete_multipartite
@@ -25,17 +22,12 @@ from .families import _iso_key, canonical_key, complete, complete_multipartite
 __all__ = ["MinorWitness", "has_minor", "is_outerplanar", "is_planar"]
 
 _MAX_PATTERN = 6
-_PLANARITY_CAP = 12
+_HOST_CAP = 12
 
-_MINOR_MEMO: dict[tuple, bool] = {}
-# Contracting different edges of one host often yields the same labelled
-# graph, so the memo's host key is cached on the adjacency rows.
-_host_key = lru_cache(maxsize=65536)(_iso_key)
-# (pattern, memo key) pairs of the forbidden minors, built once.
-_K4, _K23, _K5, _K33 = (
-    (p, canonical_key(p))
-    for p in (complete(4), complete_multipartite((2, 3)), complete(5), complete_multipartite((3, 3)))
-)
+# (host isomorphism key, pattern key) pairs known to have no model.
+_REJECTED: set[tuple] = set()
+# (pattern, key) pairs of the forbidden minors of planarity, built once.
+_K5, _K33 = ((p, canonical_key(p)) for p in (complete(5), complete_multipartite((3, 3))))
 
 
 @dataclass(frozen=True)
@@ -86,8 +78,6 @@ def _subgraph_order(pattern: Graph) -> list[int]:
 def _embed(host: Graph, pattern: Graph) -> list[int] | None:
     """Host vertex of each pattern vertex under an injective edge-preserving
     map, or ``None`` if there is no such map."""
-    if pattern.n > host.n or pattern.m > host.m:
-        return None
     order = _subgraph_order(pattern)
     earlier = [
         [order[j] for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
@@ -129,70 +119,65 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-def _has_minor_bool(g: Graph, pattern: Graph, pat_key: tuple) -> bool:
-    if pattern.n == 0:
-        return True
+def _minor(g: Graph, pattern: Graph, pat_key: tuple, branch: list[int]) -> tuple[int, ...] | None:
+    """Branch sets of a ``pattern`` model in ``g``, or ``None`` if there is
+    none; ``branch[w]`` holds the original vertices current vertex ``w`` stands for."""
     if g.n < pattern.n or g.m < pattern.m:
-        return False
-    key = (_host_key(g.adj), pat_key)
-    got = _MINOR_MEMO.get(key)
-    if got is not None:
-        return got
-    if _embed(g, pattern) is not None:
-        _MINOR_MEMO[key] = True
-        return True
-    found = False
-    if g.n > pattern.n:
-        for u, v in g.edges():
-            if _has_minor_bool(_contract(g, u, v), pattern, pat_key):
-                found = True
-                break
-    _MINOR_MEMO[key] = found
-    return found
-
-
-def _find_witness(g: Graph, pattern: Graph, pat_key: tuple) -> MinorWitness:
-    """Branch sets for a host the engine accepts: contract accepted edges
-    until the pattern embeds; ``branch[w]`` holds the original vertices that
-    current vertex ``w`` stands for."""
-    branch = [1 << v for v in range(g.n)]
-    while (at := _embed(g, pattern)) is None:
-        # The memo is keyed on isomorphism classes, so an accepted host that
-        # does not embed the pattern has an accepted contraction.
-        for u, v in g.edges():
-            h = _contract(g, u, v)
-            if _has_minor_bool(h, pattern, pat_key):
-                g = h
-                branch[u] |= branch.pop(v)  # u < v, as in _contract
-                break
-        else:
-            raise AssertionError("minor engine accepted a host with no accepted contraction")
-    return MinorWitness(tuple(branch[at[p]] for p in range(pattern.n)))
+        return None
+    key = (_iso_key(g.adj), pat_key)
+    if key in _REJECTED:
+        return None
+    if (at := _embed(g, pattern)) is not None:
+        return tuple(branch[at[p]] for p in range(pattern.n))
+    for u, v in g.edges():
+        merged = branch.copy()
+        merged[u] |= merged.pop(v)  # u < v, as in _contract
+        if (found := _minor(_contract(g, u, v), pattern, pat_key, merged)) is not None:
+            return found
+    _REJECTED.add(key)
+    return None
 
 
 def has_minor(g: Graph, pattern: Graph) -> MinorWitness | None:
     """Branch-set witness if ``pattern`` is a minor of ``g``, else ``None``.
 
-    Patterns are capped at order 6: embedding the pattern backtracks over the
-    host vertices once per pattern vertex.
+    Patterns are capped at order 6 (embedding one backtracks over the host
+    vertices once per pattern vertex) and hosts at 12 vertices (the
+    contraction search branches on every edge).
     """
     if pattern.n > _MAX_PATTERN:
         raise ValueError(f"minor patterns are capped at order {_MAX_PATTERN}")
-    pat_key = canonical_key(pattern)
-    if not _has_minor_bool(g, pattern, pat_key):
-        return None
-    return _find_witness(g, pattern, pat_key)
+    if g.n > _HOST_CAP:
+        raise ValueError(f"minor test is capped at {_HOST_CAP} host vertices")
+    found = _minor(g, pattern, canonical_key(pattern), [1 << v for v in range(g.n)])
+    return None if found is None else MinorWitness(found)
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Forbidden-minor test: no complete-4 and no complete-bipartite-2-3 minor."""
-    if g.n <= 3:
-        return True
-    if g.m > 2 * g.n - 3:
+    """Mitchell's reduction: peel the lowest vertex of degree at most 2, and
+    join its neighbours if it has two.  ``sides[a][b]`` counts the sides of
+    edge ``ab`` that peeled vertices fill (0-2); an edge joined across a
+    full edge is full itself, and a full edge asked to take one more side
+    leaves some vertex off the outer face."""
+    if g.n >= 2 and g.m > 2 * g.n - 3:
         return False
-    if _has_minor_bool(g, *_K4):
-        return False
-    return not _has_minor_bool(g, *_K23)
+    sides = [dict.fromkeys(bits(row), 0) for row in g.adj]
+    left = set(range(g.n))
+    while left:
+        v = min((w for w in left if len(sides[w]) <= 2), default=None)
+        if v is None:
+            return False
+        left.remove(v)
+        for w in sides[v]:
+            del sides[w][v]
+        if len(sides[v]) == 2:
+            (a, va), (b, vb) = sides[v].items()
+            new = 2 if 2 in (va, vb) else 1
+            old = sides[a].get(b)
+            if old is not None and (old == 2 or new == 2):
+                return False
+            sides[a][b] = sides[b][a] = new if old is None else old + new
+    return True
 
 
 def is_planar(g: Graph) -> bool:
@@ -200,12 +185,9 @@ def is_planar(g: Graph) -> bool:
 
     Desk-scale only; refuses hosts above 12 vertices.
     """
-    if g.n > _PLANARITY_CAP:
-        raise ValueError(f"planarity test is capped at {_PLANARITY_CAP} vertices")
-    if g.n <= 4:
-        return True
-    if g.m > 3 * g.n - 6:
+    if g.n > _HOST_CAP:
+        raise ValueError(f"planarity test is capped at {_HOST_CAP} vertices")
+    if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
-    if _has_minor_bool(g, *_K5):
-        return False
-    return not _has_minor_bool(g, *_K33)
+    branch = [1 << v for v in range(g.n)]
+    return all(_minor(g, p, key, branch) is None for p, key in (_K5, _K33))

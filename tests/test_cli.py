@@ -206,6 +206,12 @@ def test_verify_unknown_id(capsys):
     assert "unknown theorem id" in err
 
 
+def test_verify_runs_a_repeated_id_once(capsys):
+    code, out, _ = run(capsys, "verify", "--ids", "T1,T3,T1", "--max-n", "3", "--format", "json")
+    assert code == 0
+    assert [r["theorem"] for r in json.loads(out)["reports"]] == ["T1", "T3"]
+
+
 def test_verify_json_schema_stable_across_runs(capsys):
     code1, out1, _ = run(capsys, "verify", "--ids", "T3,T12", "--max-n", "5", "--format", "json")
     code2, out2, _ = run(capsys, "verify", "--ids", "T3,T12", "--max-n", "5", "--format", "json")

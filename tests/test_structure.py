@@ -1,3 +1,6 @@
+import pathlib
+import random
+
 import networkx as nx
 import pytest
 
@@ -8,13 +11,26 @@ from zfpd.families import (
     cycle,
     enumerate_connected,
     h_graph,
+    parse_graph6,
     path,
+    read_graph6_lines,
     wagner_graph,
     wheel,
 )
+from zfpd.products import cartesian_product
 from zfpd.structure import has_minor, is_outerplanar, is_planar
 
-from oracles import brute_minor
+from oracles import brute_minor, random_graph
+
+ORDER_1_TO_8 = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "connected_1to8.g6"
+
+
+def _nx_outerplanar(g: Graph) -> bool:
+    # G plus an apex vertex is planar exactly when G is outerplanar.
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.n + 1))
+    nxg.add_edges_from((g.n, v) for v in range(g.n))
+    return nx.check_planarity(nxg)[0]
 
 
 def test_has_minor_basic_examples():
@@ -41,6 +57,14 @@ def test_has_minor_empty_and_oversized_patterns():
         has_minor(complete(8), complete(7))
 
 
+def test_has_minor_refuses_hosts_above_the_cap():
+    # The 4x5 grid has 20 vertices; without the cap the contraction search
+    # for a complete-5 minor gave no answer in 20 s.
+    with pytest.raises(ValueError, match="capped at 12 host vertices"):
+        has_minor(cartesian_product(path(4), path(5)), complete(5))
+    assert has_minor(cartesian_product(path(3), path(4)), complete(3)) is not None
+
+
 def test_has_minor_against_brute_force():
     patterns = [complete(3), complete(4), complete_multipartite((2, 3))]
     for n in range(1, 6):
@@ -61,6 +85,27 @@ def test_outerplanar_examples():
     assert is_outerplanar(path(1))
     assert not is_outerplanar(wheel(6))
     assert not is_outerplanar(wagner_graph())
+    assert is_outerplanar(Graph(0))
+    # Peeling 5 joins 6 and 7 across the edge 5-6, whose two sides peeling
+    # 3 and 4 filled; a rule that refused such a join says no here.
+    assert is_outerplanar(parse_graph6("G??XuG"))
+
+
+def test_outerplanar_against_networkx_on_order_8():
+    lines = [line for line in ORDER_1_TO_8.read_text(encoding="ascii").splitlines() if line[:1] == "G"]
+    assert len(lines) == 11117
+    for g in read_graph6_lines(lines):
+        assert is_outerplanar(g) == _nx_outerplanar(g), g
+
+
+def test_outerplanar_against_networkx_on_random_graphs():
+    # Of these draws, 1,455 are disconnected, 1,943 are outerplanar and 381
+    # pass the edge count but fail to peel.
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.4, 0.6)))
+        assert is_outerplanar(g) == _nx_outerplanar(g), g
 
 
 def test_planar_examples():
@@ -95,8 +140,7 @@ def test_outerplanar_implies_planar_and_edge_bounds():
 
 
 def test_planarity_and_witnesses_against_networkx():
-    # networkx's planarity test is the oracle; G plus an apex vertex is planar
-    # exactly when G is outerplanar.
+    # networkx's planarity test is the oracle.
     outer_pats = [complete(4), complete_multipartite((2, 3))]
     planar_pats = [complete(5), complete_multipartite((3, 3))]
     for n in range(1, 8):
@@ -104,8 +148,7 @@ def test_planarity_and_witnesses_against_networkx():
             nxg = nx.Graph(g.edges())
             nxg.add_nodes_from(range(g.n))
             planar = nx.check_planarity(nxg)[0]
-            nxg.add_edges_from((g.n, v) for v in range(g.n))
-            outer = nx.check_planarity(nxg)[0]
+            outer = _nx_outerplanar(g)
             assert is_planar(g) == planar, g
             assert is_outerplanar(g) == outer, g
             found = []
