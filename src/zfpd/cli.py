@@ -106,7 +106,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
-    params = [p.strip() for p in args.params.split(",") if p.strip()]
+    params = list(dict.fromkeys(p.strip() for p in args.params.split(",") if p.strip()))
     if not params:
         raise ValueError("no parameters given")
     for p in params:

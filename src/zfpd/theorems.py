@@ -6,20 +6,22 @@ together with enough context to replay them standalone.  Bounded existence
 searches (T9, T16) report either a re-checked witness or an explicit
 "no witness up to the cap" note; both outcomes are valid.
 
-``verify(tid, universe=u)`` draws every graph from ``u``.  Pass one
-``Universe`` to every verifier of a run: its files are parsed once, when it
-is built, and a built-in order is enumerated once, on first use, so a
-report's ``elapsed_s`` excludes file parsing and includes enumeration.  A
-``Universe`` pickles, so pool workers can be sent it.  ``universe=None``
-means the built-in enumeration alone.
+``verify(tid, universe=u)`` draws the graphs it sweeps from ``u``: the
+connected graphs for T1-T4, T8-T10, T12, T13, T15 and T16, the trees for
+T7.  T5, T6, T11 and T14 build their own family members and never read
+``u``.  Pass one ``Universe`` to every verifier of a run: its files are
+parsed once, when it is built, and a built-in order is enumerated once, on
+first use, so a report's ``elapsed_s`` excludes file parsing and includes
+enumeration.  A ``Universe`` pickles, so pool workers can be sent it.
+``universe=None`` means the built-in enumeration alone.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, bits, is_path, is_tree
 from .families import (
@@ -63,9 +65,6 @@ class Failure:
     expected: str
     observed: str
 
-    def to_dict(self) -> dict:
-        return {"graph6": self.graph6, "expected": self.expected, "observed": self.observed}
-
 
 @dataclass
 class VerifyReport:
@@ -93,16 +92,7 @@ class VerifyReport:
         self.notes.append(text)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "claim": self.claim,
-            "universe": self.universe,
-            "checked": self.checked,
-            "failures": [f.to_dict() for f in self.failures],
-            "notes": list(self.notes),
-            "elapsed_s": round(self.elapsed_s, 3),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3), "passed": self.passed}
 
 
 class Universe:
@@ -115,7 +105,8 @@ class Universe:
     are dropped, and so is a repeat of a graph already read, from the same
     file or another; isomorphic relabelings are kept.  A built-in order is
     enumerated on first use.  ``connected`` and ``trees`` return the same
-    tuple on every call.
+    tuple on every call.  ``between(lo, hi)`` yields the connected graphs of
+    orders ``lo`` to ``hi``, asking ``connected`` for one order at a time.
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
@@ -141,6 +132,10 @@ class Universe:
                 )
             self._connected[n] = tuple(enumerate_connected(n))
         return self._connected[n]
+
+    def between(self, lo: int, hi: int) -> Iterator[Graph]:
+        for n in range(lo, hi + 1):
+            yield from self.connected(n)
 
     def trees(self, n: int) -> tuple[Graph, ...]:
         if n not in self._trees:
@@ -186,10 +181,6 @@ def _twin_free(g: Graph) -> bool:
     return not any(
         g.are_twins(u, v) for u in range(g.n) for v in range(u + 1, g.n)
     )
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +238,16 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
 
 @_verifier("T1", "zero forcing number 1 exactly for paths", 7, 8)
 def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
-    for n in range(1, cap + 1):
-        for g in u.connected(n):
-            run.count()
-            z1 = _zf_exists(g, 1)
-            pathlike = is_path(g)
-            if z1 != pathlike:
-                run.fail(
-                    g,
-                    f"Z=1 iff path; is_path={pathlike}",
-                    f"a single vertex forces everything: {z1}",
-                )
+    for g in u.between(1, cap):
+        run.count()
+        z1 = _zf_exists(g, 1)
+        pathlike = is_path(g)
+        if z1 != pathlike:
+            run.fail(
+                g,
+                f"Z=1 iff path; is_path={pathlike}",
+                f"a single vertex forces everything: {z1}",
+            )
     return f"connected graphs 1<=n<={cap}"
 
 
@@ -285,22 +275,21 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
 @_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, 8)
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
-    for n in range(1, cap + 1):
-        for g in u.connected(n):
-            run.count()
-            dom1 = _gamma_is_one(g)  # same thing as a universal vertex
-            lhs = g.degree_stats()[1] == n - 1
-            pd1 = _pd_at_most(g, 1)
-            rhs = dom1 and pd1
-            if lhs != rhs:
-                run.fail(
-                    g,
-                    "max degree n-1 iff (domination=1 and power domination=1)",
-                    f"max_degree_hit={lhs}, domination1={dom1}, power_domination1={pd1}",
-                )
-            # Weaker reading: "power domination equals domination" instead of both 1.
-            if n >= 2 and (_gp(g) == _gamma(g)) != lhs:
-                weaker_bad.append(write_graph6(g))
+    for g in u.between(1, cap):
+        run.count()
+        dom1 = _gamma_is_one(g)  # same thing as a universal vertex
+        lhs = g.degree_stats()[1] == g.n - 1
+        pd1 = _pd_at_most(g, 1)
+        rhs = dom1 and pd1
+        if lhs != rhs:
+            run.fail(
+                g,
+                "max degree n-1 iff (domination=1 and power domination=1)",
+                f"max_degree_hit={lhs}, domination1={dom1}, power_domination1={pd1}",
+            )
+        # Weaker reading: "power domination equals domination" instead of both 1.
+        if g.n >= 2 and (_gp(g) == _gamma(g)) != lhs:
+            weaker_bad.append(write_graph6(g))
     if weaker_bad:
         run.note(
             f"weaker reading (power domination = domination iff max degree n-1) fails on "
@@ -313,25 +302,38 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T4", "smallest graphs that need two power dominators", 7, 8)
 def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
-    for n in range(1, 6):
-        for g in u.connected(n):
+    top = min(7, cap)
+    two_at_six = []
+    # Orders 1..6 are swept whatever the cap; the twin-free check stops at top.
+    for g in u.between(1, max(6, top)):
+        twin_free = g.n <= top and _twin_free(g)
+        if g.n > 6 and not twin_free:
+            continue
+        if g.n <= 6:
             run.count()
-            if not _pd_at_most(g, 1):
-                run.fail(g, "power domination number 1 (order <= 5)", "needs >= 2")
+        if twin_free:
+            run.count()
+        if _pd_at_most(g, 1):
+            continue
+        if g.n <= 5:
+            run.fail(g, "power domination number 1 (order <= 5)", "needs >= 2")
+        elif g.n == 6:
+            two_at_six.append(write_graph6(g))
+        if twin_free:
+            run.fail(
+                g,
+                "twin-free graphs of order <= 7 have power domination number 1",
+                "needs >= 2",
+            )
+    run.note(
+        f"order-6 graphs needing 2 power dominators: {len(two_at_six)} "
+        f"({', '.join(sorted(two_at_six))})"
+    )
     hg = h_graph()
     run.count()
     gp_h = _gp(hg)
     if gp_h != 2:
         run.fail(hg, "H-graph power domination number 2", str(gp_h))
-    two_at_six = []
-    for g in u.connected(6):
-        run.count()
-        if not _pd_at_most(g, 1):
-            two_at_six.append(write_graph6(g))
-    run.note(
-        f"order-6 graphs needing 2 power dominators: {len(two_at_six)} "
-        f"({', '.join(sorted(two_at_six))})"
-    )
     wg = wagner_graph()
     run.count()
     if not _twin_free(wg):
@@ -339,17 +341,6 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     gp_w = _gp(wg)
     if gp_w != 2:
         run.fail(wg, "Wagner graph power domination number 2", str(gp_w))
-    top = min(7, cap)
-    for n in range(1, top + 1):
-        for g in u.connected(n):
-            if _twin_free(g):
-                run.count()
-                if not _pd_at_most(g, 1):
-                    run.fail(
-                        g,
-                        "twin-free graphs of order <= 7 have power domination number 1",
-                        "needs >= 2",
-                    )
     return f"connected graphs n<=5; order 6; Wagner graph; twin-free n<={top}"
 
 
@@ -389,16 +380,12 @@ def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"family members of order 3..{cap}"
 
 
-def _partitions_nondecreasing(total: int) -> Iterable[tuple[int, ...]]:
-    def rec(remaining: int, minimum: int) -> Iterable[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(total, 1)
+def _partitions_nondecreasing(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    if total == 0:
+        yield ()
+    for first in range(least, total + 1):
+        for rest in _partitions_nondecreasing(total - first, first):
+            yield (first,) + rest
 
 
 @_verifier("T6", "complete multipartite graphs and single-edge deletions", 10, 12)
@@ -420,14 +407,10 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
                     f"K{parts}: power domination number {exp}",
                     str(gp),
                 )
-            offsets = []
-            at = 0
-            for r in parts:
-                offsets.append(at)
-                at += r
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
-                    ge = g.delete_edge(offsets[i], offsets[j])
+                    # sum(parts[:i]) is the first vertex of part i.
+                    ge = g.delete_edge(sum(parts[:i]), sum(parts[:j]))
                     if not ge.is_connected():
                         skipped_disconnected += 1
                         continue
@@ -491,25 +474,24 @@ def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
 @_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, 8)
 def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
-    for n in range(1, cap + 1):
-        for g in u.connected(n):
-            run.count()
-            d = g.diameter()
-            if d <= 2 and not _pd_at_most(g, 2) and is_planar(g):
+    for g in u.between(1, cap):
+        run.count()
+        d = g.diameter()
+        if d <= 2 and not _pd_at_most(g, 2) and is_planar(g):
+            run.fail(
+                g,
+                "planar with diameter <= 2: power domination number <= 2",
+                str(_gp(g)),
+            )
+        if d <= 3 and is_outerplanar(g):
+            if not _pd_at_most(g, 1):
                 run.fail(
                     g,
-                    "planar with diameter <= 2: power domination number <= 2",
+                    "outerplanar with diameter <= 3: power domination number 1",
                     str(_gp(g)),
                 )
-            if d <= 3 and is_outerplanar(g):
-                if not _pd_at_most(g, 1):
-                    run.fail(
-                        g,
-                        "outerplanar with diameter <= 3: power domination number 1",
-                        str(_gp(g)),
-                    )
-                if d <= 2 and not _pd_at_most(g, 1):
-                    variant_bad += 1
+            if d <= 2 and not _pd_at_most(g, 1):
+                variant_bad += 1
     if variant_bad:
         run.note(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")
     else:
@@ -520,32 +502,29 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
 @_verifier("T9", "large maximum degree keeps the power domination number small", 8, MAX_BUILTIN_ORDER)
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
-    for n in range(1, cap + 1):
-        for g in u.connected(n):
-            run.count()
-            delta = g.degree_stats()[1]
-            if delta >= n - 2:
-                if not _pd_at_most(g, 1):
-                    run.fail(
-                        g,
-                        "max degree >= n-2: power domination number 1",
-                        str(_gp(g)),
-                    )
-            elif delta >= n - 4:
-                if not _pd_at_most(g, 2):
-                    run.fail(
-                        g,
-                        "max degree in {n-4, n-3}: power domination number <= 2",
-                        str(_gp(g)),
-                    )
-            if witness is None and delta == n - 5 and not _pd_at_most(g, 2):
-                gp = _gp(g)
-                witness = (g, gp)
+    for g in u.between(1, cap):
+        run.count()
+        delta = g.degree_stats()[1]
+        if delta >= g.n - 2:
+            if not _pd_at_most(g, 1):
+                run.fail(
+                    g,
+                    "max degree >= n-2: power domination number 1",
+                    str(_gp(g)),
+                )
+        elif delta >= g.n - 4:
+            if not _pd_at_most(g, 2):
+                run.fail(
+                    g,
+                    "max degree in {n-4, n-3}: power domination number <= 2",
+                    str(_gp(g)),
+                )
+        if witness is None and delta == g.n - 5 and not _pd_at_most(g, 2):
+            witness = g
     if witness is not None:
-        g, gp = witness
         run.note(
-            f"witness: {write_graph6(g)} has max degree n-5 and power domination "
-            f"number {gp} (re-checked standalone)"
+            f"witness: {write_graph6(witness)} has max degree n-5 and power domination "
+            f"number {_gp(witness)} (re-checked standalone)"
         )
     else:
         run.note(f"no witness with max degree n-5 and power domination >= 3 up to n={cap}")
@@ -555,28 +534,26 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
 @_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, 8)
 def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
-    for n in range(4, cap + 1):
-        for g in u.connected(n):
-            hits = [v for v in range(n) if g.degree(v) == n - 3]
-            if not hits:
-                continue
-            run.count()
-            all_twins = True
-            for v in hits:
-                outside = list(bits(g.full_mask & ~g.closed_neighbors(v)))
-                w1, w2 = outside
-                lhs = is_power_dominating_set(g, 1 << v)
-                rhs = not g.are_twins(w1, w2)
-                if lhs != rhs:
-                    run.fail(
-                        g,
-                        f"vertex {v} (degree n-3) power dominates iff {w1},{w2} are not twins",
-                        f"power_dominates={lhs}, twins={not rhs}",
-                    )
-                if rhs:
-                    all_twins = False
-            if witness is None and all_twins and _pd_at_most(g, 1):
-                witness = g
+    for g in u.between(4, cap):
+        hits = [v for v in range(g.n) if g.degree(v) == g.n - 3]
+        if not hits:
+            continue
+        run.count()
+        all_twins = True
+        for v in hits:
+            w1, w2 = bits(g.full_mask & ~g.closed_neighbors(v))
+            lhs = is_power_dominating_set(g, 1 << v)
+            rhs = not g.are_twins(w1, w2)
+            if lhs != rhs:
+                run.fail(
+                    g,
+                    f"vertex {v} (degree n-3) power dominates iff {w1},{w2} are not twins",
+                    f"power_dominates={lhs}, twins={not rhs}",
+                )
+            if rhs:
+                all_twins = False
+        if witness is None and all_twins and _pd_at_most(g, 1):
+            witness = g
     if witness is not None:
         run.note(
             f"converse-failure witness: {write_graph6(witness)} has power domination "
@@ -626,26 +603,25 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, 8)
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
-    for n in range(3, cap + 1):
-        for g in u.connected(n):
-            run.count()
-            gt = total_domination_number(g).value
-            c = g.complement()
-            diam_c: float = c.diameter() if c.is_connected() else float("inf")
-            lhs = gt == 2
-            rhs = diam_c > 2
-            if lhs != rhs:
-                run.fail(
-                    g,
-                    "total domination 2 iff complement diameter > 2",
-                    f"total_domination={gt}, complement_diameter={diam_c}",
-                )
+    for g in u.between(3, cap):
+        run.count()
+        gt = total_domination_number(g).value
+        c = g.complement()
+        diam_c: float = c.diameter() if c.is_connected() else float("inf")
+        lhs = gt == 2
+        rhs = diam_c > 2
+        if lhs != rhs:
+            run.fail(
+                g,
+                "total domination 2 iff complement diameter > 2",
+                f"total_domination={gt}, complement_diameter={diam_c}",
+            )
     return f"connected graphs 3<=n<={cap} (disconnected complements count as infinite diameter)"
 
 
 @_verifier("T13", "lexicographic product power domination formula", 4, 5)
 def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = [g for k in range(2, cap + 1) for g in u.connected(k)]
+    factors = list(u.between(2, cap))
     pairs = [(g, h) for g in factors for h in factors]
     extras = [
         (path(2), h_graph()),
@@ -677,7 +653,7 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
         for n in range(m, cap + 1):
             run.count()
             grid = cartesian_product(path(m), path(n))
-            exp = _ceil_div(m + 1, 4) if m % 8 == 4 else _ceil_div(m, 4)
+            exp = (m + 4) // 4 if m % 8 == 4 else (m + 3) // 4  # ceil((m+1)/4), ceil(m/4)
             got = _gp(grid)
             if got != exp:
                 run.fail(grid, f"grid {m}x{n}: power domination number {exp}", str(got))
@@ -686,8 +662,8 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T15", "Cartesian product power domination bounds", 5, 6)
 def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = [g for k in range(2, cap + 1) for g in u.connected(k)]
-    small = [g for k in range(2, 4) for g in u.connected(k)]
+    factors = list(u.between(2, cap))
+    small = list(u.between(2, 3))
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
     for g, h in pairs:
@@ -768,10 +744,11 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
 @_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, 8)
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
-    for n in range(1, cap + 1):
-        for g in u.connected(n):
-            if not _pd_at_most(g, 1):
-                continue
+    witness = None
+    # One sweep serves the edge-product bound (power domination 1) and the
+    # jump search (power domination 2), which stops at its first witness.
+    for g in u.between(1, cap):
+        if _pd_at_most(g, 1):
             run.count()
             prod = cartesian_product(g, p2)
             if not _pd_at_most(prod, 2):
@@ -780,7 +757,11 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     "power domination 1 implies the product with an edge needs <= 2",
                     str(_gp(prod)),
                 )
-    factors = [g for k in range(2, 6) for g in u.connected(k)]
+        elif witness is None and _pd_at_most(g, 2):
+            run.count()
+            if _gp(cartesian_product(g, p2)) == 3:
+                witness = g
+    factors = list(u.between(2, 5))
     gamma = {g: _gamma(g) for g in factors}
     pendant = {g: _pendant_path_dominatable(g) for g in factors}
     for g in factors:
@@ -803,24 +784,10 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     f"iff the structural characterization holds ({pred})",
                     f"power_domination_1={actual}",
                 )
-    witness = None
-    for n in range(2, cap + 1):
-        if witness is not None:
-            break
-        for g in u.connected(n):
-            if _pd_at_most(g, 1) or not _pd_at_most(g, 2):
-                continue  # wants power domination number exactly 2
-            run.count()
-            prod = cartesian_product(g, p2)
-            gp_prod = _gp(prod)
-            if gp_prod == 3:
-                witness = (g, gp_prod)
-                break
     if witness is not None:
-        g, gp_prod = witness
         run.note(
-            f"witness: {write_graph6(g)} has power domination number 2 and its "
-            f"product with an edge needs {gp_prod} (re-checked standalone)"
+            f"witness: {write_graph6(witness)} has power domination number 2 and its "
+            "product with an edge needs 3 (re-checked standalone)"
         )
     else:
         run.note(

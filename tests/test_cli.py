@@ -9,7 +9,7 @@ from zfpd.cli import main
 from zfpd.families import are_isomorphic, enumerate_connected, parse_graph6, path, star, wheel, write_graph6
 from zfpd.products import cartesian_product
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verify_t1.json"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -67,6 +67,14 @@ def test_compute_on_cycle(capsys, tmp_path):
     assert params["dom"]["value"] == 2
     for info in params.values():
         assert isinstance(info["witness"], list)
+
+
+def test_compute_solves_a_repeated_parameter_once(capsys, tmp_path):
+    gpath = tmp_path / "p4.g6"
+    gpath.write_text(write_graph6(path(4)) + "\n", encoding="ascii")
+    code, out, _ = run(capsys, "compute", "--input", str(gpath), "--params", "zf,pd,zf", "--format", "table")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["zf", "pd"]
 
 
 def test_compute_empty_file(capsys, tmp_path):
@@ -224,12 +232,18 @@ def test_verify_json_schema_stable_across_runs(capsys):
 
 
 def test_verify_json_matches_golden_file(capsys):
-    code, out, _ = run(capsys, "verify", "--ids", "T1", "--max-n", "4", "--format", "json")
-    assert code == 0
-    got = json.loads(out)
-    for r in got["reports"]:
-        r["elapsed_s"] = 0.0
-    assert got == json.loads(GOLDEN.read_text())
+    cases = (
+        ("T1", "4", 0, "golden_verify_t1.json"),
+        # every verifier: pins T4 below its order-6 sweep and T16's counts
+        ("all", "5", 1, "golden_verify_all_n5.json"),
+    )
+    for ids, max_n, status, golden in cases:
+        code, out, _ = run(capsys, "verify", "--ids", ids, "--max-n", max_n, "--format", "json", "--workers", "1")
+        assert code == status, golden
+        got = json.loads(out)
+        for r in got["reports"]:
+            r["elapsed_s"] = 0.0
+        assert got == json.loads((DATA / golden).read_text()), golden
 
 
 def test_verify_table_format(capsys):

@@ -152,6 +152,19 @@ def test_t16_reports_characterization_counterexamples():
     assert any("no witness" in n or "witness:" in n for n in report.notes)
 
 
+def test_t16_jump_search_finds_the_order_8_witness(tmp_path):
+    # G?KuEG: two 4-cycles joined by an edge; orders 1-7 come from the built-in.
+    fname = tmp_path / "w8.g6"
+    fname.write_text("G?KuEG\n", encoding="ascii")
+    report = verify("T16", max_n=8, universe=Universe([str(fname)]))
+    assert report.checked == 1456
+    assert len(report.failures) == 4
+    assert report.notes == [
+        "witness: G?KuEG has power domination number 2 and its product with an edge "
+        "needs 3 (re-checked standalone)"
+    ]
+
+
 def test_t16_house_counterexample_replays():
     # K2 box house: the product power-dominates with one vertex although no
     # structural condition covers the pair.
@@ -190,6 +203,20 @@ def test_universe_files_override_orders(tmp_path):
     assert len(u.connected(8)) == 2  # the Wagner graph once, then the 8-cycle
     assert u.source(8) == "a.g6, b.g6"
     assert u.source(5) == "b.g6"
+
+
+def test_verifiers_reach_the_universe_through_connected(monkeypatch):
+    # perfbench/tracer.py times the universe build by wrapping Universe.connected.
+    orders = []
+    plain = Universe.connected
+
+    def counting(self, n):
+        orders.append(n)
+        return plain(self, n)
+
+    monkeypatch.setattr(Universe, "connected", counting)
+    assert verify("T1", max_n=4).checked == 10
+    assert orders == [1, 2, 3, 4]
 
 
 def test_universe_keeps_one_copy_of_a_repeated_graph(tmp_path):
