@@ -176,8 +176,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     workers = min(args.workers, len(ids))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = theorems.prepare(universe, ids, args.max_n, pool, workers)  # builds the universe first
             # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
-            futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=universe) for t in ids]
+            futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=u) for t, u in zip(ids, parts)]
             reports = [f.result() for f in futures]
     else:
         reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
@@ -233,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--universe", action="append", default=None, help="graph6 universe file (repeatable)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="verifier processes, at most one per verifier; "
+                   help="processes, at most one per verifier: the pool first builds the "
+                        "universe, each order shared out, then runs the verifiers; "
                         "1 keeps everything in-process and serial")
     p.add_argument("--format", choices=["json", "table"], default=None)
     p.add_argument("--out", "-o", default=None)

@@ -1,24 +1,27 @@
 """Named graph families, graph6 round-tripping and small-graph enumeration.
 
 The enumeration side produces exactly one representative per isomorphism
-class of connected graphs (or trees).  Candidates are deduplicated by a
-complete isomorphism key computed by colour refinement and
-individualization; the first candidate of each new class is then relabeled
-by the canonical labeling, the lexicographically smallest upper-triangle
-adjacency bitstring over all vertex orderings, which also sorts the classes.
-That minimum is found by a search pruned level by level, so it stays fast
-even on the symmetric graphs where trying all ``n!`` orderings would hurt,
-but it is the costlier of the two and runs once per class, not per
-candidate.
+class of connected graphs (or trees), growing each order from the one
+below with one candidate per orbit of the parent's automorphism group.
+Candidates are deduplicated by a complete isomorphism key computed by colour
+refinement and individualization, the same search that yields the
+automorphism group's generators; each class is then relabeled once by the
+canonical labeling, the lexicographically smallest upper-triangle adjacency
+bitstring over all vertex orderings, which also sorts the classes.  That
+minimum is found by a search pruned level by level, so it stays fast even on
+the symmetric graphs where trying all ``n!`` orderings would hurt, but it is
+the costlier of the two and runs once per class, not per candidate.  Both
+steps work on slices of an order, so a process pool can share it out.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, bits
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "path",
@@ -41,6 +44,7 @@ __all__ = [
     "are_isomorphic",
     "enumerate_connected",
     "enumerate_trees",
+    "build_classes",
     "MAX_BUILTIN_ORDER",
     "MAX_TREE_ORDER",
 ]
@@ -416,7 +420,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# complete isomorphism key by individualization and refinement
+# complete isomorphism key and automorphisms by individualization and refinement
 #
 # In the style of McKay and Piperno, "Practical graph isomorphism, II"
 # (arXiv:1301.1493).  Vertices start in cells by degree; ``_refine`` splits
@@ -428,6 +432,12 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # Every discrete leaf orders the vertices, and the key is the smallest
 # relabelled adjacency tuple over all leaves.  Two graphs share the key iff
 # they are isomorphic; unlike ``canonical_key`` its order means nothing.
+#
+# The same search generates the automorphism group: each skipped twin swap
+# is a generator, and so is the map from the first leaf to any later leaf
+# with the same relabelled tuple.  An automorphism carries the first leaf to
+# a leaf of the unpruned tree, the twin swaps carry that leaf into the part
+# searched, and there it is one of the later leaves, so nothing is missed.
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -459,30 +469,77 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
         cells = out
 
 
-def _search(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
+def _search(adj: tuple[int, ...], cells: list[list[int]], first: list, gens: set) -> tuple[int, ...]:
+    """Smallest leaf tuple below ``cells``; ``first`` keeps the first leaf, ``gens`` gathers generators."""
     if len(cells) == len(adj):
-        return _relabel(adj, [cell[0] for cell in cells])
+        order = [cell[0] for cell in cells]
+        key = _relabel(adj, order)
+        if not first:
+            first += (key, order)
+        elif key == first[0]:
+            perm = [0] * len(adj)
+            for old, new in zip(first[1], order):
+                perm[old] = new
+            gens.add(tuple(perm))
+        return key
     at = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)[1]
     best = None
     tried: list[int] = []
     for v in cells[at]:
         row = adj[v]
-        if any(adj[u] & ~(1 << v) == row & ~(1 << u) for u in tried):
+        twin = next((u for u in tried if adj[u] & ~(1 << v) == row & ~(1 << u)), None)
+        if twin is not None:
+            swap = list(range(len(adj)))
+            swap[twin], swap[v] = v, twin
+            gens.add(tuple(swap))
             continue
         tried.append(v)
         rest = [w for w in cells[at] if w != v]
-        key = _search(adj, _refine(adj, cells[:at] + [[v], rest] + cells[at + 1 :]))
+        key = _search(adj, _refine(adj, cells[:at] + [[v], rest] + cells[at + 1 :]), first, gens)
         if best is None or key < best:
             best = key
     return best
 
 
-def _iso_key(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Complete isomorphism invariant of the graph with adjacency rows ``adj``."""
+def _iso_search(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``_iso_key`` of ``adj`` and generators of its automorphism group (``perm[v]`` is ``v``'s image)."""
     by_degree: dict[int, list[int]] = {}
     for v, row in enumerate(adj):
         by_degree.setdefault(row.bit_count(), []).append(v)
-    return _search(adj, _refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    gens: set[tuple[int, ...]] = set()
+    key = _search(adj, _refine(adj, [by_degree[d] for d in sorted(by_degree)]), [], gens)
+    return key, list(gens)
+
+
+def _iso_key(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Complete isomorphism invariant of the graph with adjacency rows ``adj``."""
+    return _iso_search(adj)[0]
+
+
+def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterator[int]:
+    """Yield the first mask of each orbit of the group that ``gens`` generate.
+
+    ``masks`` must be a union of orbits, such as every nonempty vertex set
+    or every single vertex; the orbits are walked breadth-first.
+    """
+    if not gens:
+        yield from masks
+        return
+    seen: set[int] = set()
+    for m in masks:
+        if m in seen:
+            continue
+        yield m
+        seen.add(m)
+        todo = [m]
+        for x in todo:
+            for perm in gens:
+                y = 0
+                for v in bits(x):
+                    y |= 1 << perm[v]
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +547,20 @@ def _iso_key(adj: tuple[int, ...]) -> tuple[int, ...]:
 #
 # Classes of order n are grown from the classes of order n - 1 by a candidate
 # generator.  Every connected graph has a vertex whose removal keeps it
-# connected, so attaching a new last vertex to each nonempty subset of every
-# (n-1)-class reaches every connected n-class; attaching a leaf to each
-# vertex does the same for trees.  Candidates are deduplicated by
-# ``_iso_key``; only the first candidate of each class pays for ``_canon``,
-# which gives the representative and the sort key.
+# connected, so attaching a new last vertex to a nonempty subset of every
+# (n-1)-class reaches every connected n-class; attaching a leaf to a vertex
+# does the same for trees.  Two subsets (or vertices) in one orbit of the
+# parent's automorphism group give isomorphic children, so only the first of
+# each orbit is tried, with the generators that ``_iso_search`` returns for
+# the parent.  Candidates are deduplicated by ``_iso_key`` (the shard step,
+# ``_expand``), and each class's key, itself the adjacency of one of its
+# members, then pays once for ``_canon`` (the label step, ``_label``).  The
+# ``_canon`` key alone fixes the representative and the sort order, so it
+# does not matter which member of a class is labelled.  Both steps take a
+# slice of their input, so a process pool can share an order out; the serial
+# build runs the same steps on one slice.  Keys travel packed into one int
+# each (``_pack``), which takes about a third of a tuple's memory in the
+# pool's messages and in the parent that merges them.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -505,39 +571,106 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}, not {n}")
-    yield from _classes(n, _attach_vertex)
+    yield from build_classes("connected", n)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one canonical representative per tree isomorphism class of order ``n``."""
     if not 1 <= n <= MAX_TREE_ORDER:
         raise ValueError(f"tree enumeration covers 1..{MAX_TREE_ORDER}, not {n}")
-    yield from _classes(n, _attach_leaf)
+    yield from build_classes("trees", n)
 
 
-def _attach_vertex(g: Graph) -> Iterator[tuple[int, ...]]:
-    new_bit = 1 << g.n
-    for nb in range(1, new_bit):
-        yield tuple([row | new_bit if nb >> u & 1 else row for u, row in enumerate(g.adj)]) + (nb,)
+def _attach_vertex(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    new_bit = 1 << len(adj)
+    for nb in _orbit_reps(range(1, new_bit), gens):
+        yield tuple([row | new_bit if nb >> u & 1 else row for u, row in enumerate(adj)]) + (nb,)
 
 
-def _attach_leaf(t: Graph) -> Iterator[tuple[int, ...]]:
-    for at in range(t.n):
-        rows = list(t.adj)
-        rows[at] |= 1 << t.n
-        rows.append(1 << at)
+def _attach_leaf(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    for at in _orbit_reps([1 << v for v in range(len(adj))], gens):
+        rows = list(adj)
+        rows[at.bit_length() - 1] |= 1 << len(adj)
+        rows.append(at)
         yield tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _classes(n: int, extend: Callable[[Graph], Iterator[tuple[int, ...]]]) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1),)
-    reps: dict[tuple[int, ...], tuple[tuple[int, ...], Graph]] = {}
-    for g in _classes(n - 1, extend):
-        for adj in extend(g):
-            key = _iso_key(adj)
-            if key not in reps:
-                legacy, order = _canon(adj)
-                reps[key] = (legacy, Graph.from_rows(_relabel(adj, order)))
-    return tuple(g for _, g in sorted(reps.values(), key=itemgetter(0)))
+_EXTEND = {"connected": _attach_vertex, "trees": _attach_leaf}
+
+
+def _pack(rows: Iterable[int], width: int) -> int:
+    """``rows`` as one int, ``width`` bits each and the first highest, so packed ints compare as tuples do."""
+    x = 0
+    for row in rows:
+        x = x << width | row
+    return x
+
+
+def _unpack(x: int, width: int, count: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple(x >> width * (count - 1 - i) & mask for i in range(count))
+
+
+def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> set[int]:
+    """Shard step: the packed ``_iso_key`` of every class reached from ``parents``.
+
+    A key is the adjacency of the best leaf's labelling, so it stands for
+    its class in the label step too.
+    """
+    extend = _EXTEND[kind]
+    n = len(parents[0]) + 1
+    return {_pack(_iso_key(child), n) for adj in parents for child in extend(adj, _iso_search(adj)[1])}
+
+
+def _label(classes: Sequence[int], n: int) -> list[int]:
+    """Label step: the packed ``_canon`` key of each packed adjacency of order ``n``."""
+    return [_pack(_canon(_unpack(adj, n, n))[0], n) for adj in classes]
+
+
+def _from_key(key: int, n: int) -> Graph:
+    """The order-``n`` graph in canonical labels whose packed ``_canon`` key is ``key``.
+
+    Entry ``j - 1`` of the key holds vertex ``j``'s edges to ``0..j-1``,
+    vertex 0 in the highest of its ``j`` bits.
+    """
+    rows = [0] * n
+    for j, col in enumerate(_unpack(key, n, n - 1), start=1):
+        for i in range(j):
+            if col >> (j - 1 - i) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(rows)
+
+
+def _run(pool: Executor | None, fn: Callable, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, computed in ``pool`` if there is one."""
+    if pool is None:
+        return [fn(*job) for job in jobs]
+    futures = [pool.submit(fn, *job) for job in jobs]
+    return [f.result() for f in futures]
+
+
+def _slices(items: list, shards: int) -> list[list]:
+    return [items[i::shards] for i in range(min(shards, len(items)))]
+
+
+# (kind, order) -> classes, sorted by ``_canon`` key; filled one order at a time
+_BUILT: dict[tuple[str, int], tuple[Graph, ...]] = {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)}
+
+
+def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[Graph, ...]:
+    """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
+
+    Missing orders are built upward from the highest one cached, each
+    order's shard and label steps split ``shards`` ways and run in ``pool``
+    (anything with ``submit``) or, without one, in this process.  The result
+    does not depend on ``pool`` or ``shards``.
+    """
+    if (kind, n) not in _BUILT:
+        parents = [g.adj for g in build_classes(kind, n - 1, pool, shards)]
+        classes: set[int] = set()
+        for found in _run(pool, _expand, [(part, kind) for part in _slices(parents, shards)]):
+            classes |= found
+        labelled = _run(pool, _label, [(part, n) for part in _slices(list(classes), shards)])
+        _BUILT[kind, n] = tuple(_from_key(key, n) for key in sorted(key for part in labelled for key in part))
+    return _BUILT[kind, n]

@@ -252,6 +252,14 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
+    # Pickled as the rows alone, half the default's size: pool jobs carry universes.
+    def __getstate__(self) -> tuple[int, ...]:
+        return self.adj
+
+    def __setstate__(self, adj: tuple[int, ...]) -> None:
+        self.n = len(adj)
+        self.adj = adj
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 

@@ -9,24 +9,29 @@ searches (T9, T16) report either a re-checked witness or an explicit
 ``verify(tid, universe=u)`` draws the graphs it sweeps from ``u``: the
 connected graphs for T1-T4, T8-T10, T12, T13, T15 and T16, the trees for
 T7.  T5, T6, T11 and T14 build their own family members and never read
-``u``.  Pass one ``Universe`` to every verifier of a run: its files are
-parsed once, when it is built, and a built-in order is enumerated once, on
-first use, so a report's ``elapsed_s`` excludes file parsing and includes
-enumeration.  A ``Universe`` pickles, so pool workers can be sent it.
+``u``; each registry entry names the universe its verifier sweeps.  Pass
+one ``Universe`` to every verifier of a run: its files are parsed once,
+when it is built, and a built-in order is enumerated once, on first use, so
+a report's ``elapsed_s`` excludes file parsing and includes enumeration.
+``prepare`` enumerates the orders a set of verifiers sweeps before any of
+them starts, sharded over a process pool; their ``elapsed_s`` then excludes
+it too.  A ``Universe`` pickles, so pool workers can be sent it.
 ``universe=None`` means the built-in enumeration alone.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .graph import Graph, bits, is_path, is_tree
 from .families import (
     MAX_BUILTIN_ORDER,
     MAX_TREE_ORDER,
+    build_classes,
     complete,
     complete_multipartite,
     cycle,
@@ -56,7 +61,10 @@ from .products import cartesian_product, lexicographic_product
 from .propagation import is_power_dominating_set
 from .structure import is_outerplanar, is_planar
 
-__all__ = ["Failure", "VerifyReport", "Universe", "verify", "theorem_ids", "claim_of"]
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
+__all__ = ["Failure", "VerifyReport", "Universe", "verify", "prepare", "theorem_ids", "claim_of"]
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,10 @@ class Universe:
     here, once: graphs that are not connected, the order-0 graph among them,
     are dropped, and so is a repeat of a graph already read, from the same
     file or another; isomorphic relabelings are kept.  A built-in order is
-    enumerated on first use.  ``connected`` and ``trees`` return the same
-    tuple on every call.  ``between(lo, hi)`` yields the connected graphs of
-    orders ``lo`` to ``hi``, asking ``connected`` for one order at a time.
+    enumerated on first use, or before it by ``build``.  ``connected`` and
+    ``trees`` return the same tuple on every call.  ``between(lo, hi)``
+    yields the connected graphs of orders ``lo`` to ``hi``, asking
+    ``connected`` for one order at a time.
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
@@ -120,29 +129,58 @@ class Universe:
             for g in graphs:
                 by_order.setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                 self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
-        self._connected = {n: tuple(g for g in gs if n and g.is_connected()) for n, gs in by_order.items()}
-        self._trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in self._connected.items()}
+        connected = {n: tuple(g for g in gs if n and g.is_connected()) for n, gs in by_order.items()}
+        trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in connected.items()}
+        self._orders = {"connected": connected, "trees": trees}
+
+    def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
+        """Build the ``kind`` orders ``1..top`` not yet held, up to the built-in cap.
+
+        ``pool`` and ``shards`` are as in ``families.build_classes``.
+        """
+        held = self._orders[kind]
+        top = min(top, MAX_BUILTIN_ORDER if kind == "connected" else MAX_TREE_ORDER)
+        missing = [n for n in range(1, top + 1) if n not in held]
+        if missing:
+            build_classes(kind, missing[-1], pool, shards)  # builds the orders below it too
+            for n in missing:
+                held[n] = build_classes(kind, n)
+
+    def part(self, kind: str | None, top: int) -> Universe:
+        """A copy holding only what a verifier of ``kind`` reads up to ``top``.
+
+        It keeps that kind's file orders and its other orders up to ``top``,
+        so a pool job is not sent orders its verifier never reads.
+        """
+        view = copy.copy(self)
+        view._orders = {
+            name: {n: gs for n, gs in held.items() if name == kind and (n <= top or n in self._names)}
+            for name, held in self._orders.items()
+        }
+        return view
 
     def connected(self, n: int) -> tuple[Graph, ...]:
-        if n not in self._connected:
+        held = self._orders["connected"]
+        if n not in held:
             if n > MAX_BUILTIN_ORDER:
                 raise ValueError(
                     f"no universe for order {n}: built-in enumeration stops at "
                     f"{MAX_BUILTIN_ORDER}, supply a graph6 file"
                 )
-            self._connected[n] = tuple(enumerate_connected(n))
-        return self._connected[n]
+            held[n] = tuple(enumerate_connected(n))
+        return held[n]
 
     def between(self, lo: int, hi: int) -> Iterator[Graph]:
         for n in range(lo, hi + 1):
             yield from self.connected(n)
 
     def trees(self, n: int) -> tuple[Graph, ...]:
-        if n not in self._trees:
+        held = self._orders["trees"]
+        if n not in held:
             if n > MAX_TREE_ORDER:
                 raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
-            self._trees[n] = tuple(enumerate_trees(n))
-        return self._trees[n]
+            held[n] = tuple(enumerate_trees(n))
+        return held[n]
 
     def source(self, n: int) -> str:
         return ", ".join(self._names.get(n, ["built-in"]))
@@ -186,12 +224,14 @@ def _twin_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: dict[str, tuple[str, int, int, Callable[[VerifyReport, Universe, int], str]]] = {}
+# tid -> (claim, default cap, hard cap, the universe the verifier reads:
+# "connected", "trees" or None, the verifier)
+_REGISTRY: dict[str, tuple[str, int, int, str | None, Callable[[VerifyReport, Universe, int], str]]] = {}
 
 
-def _verifier(tid: str, claim: str, default_cap: int, hard_cap: int):
+def _verifier(tid: str, claim: str, default_cap: int, hard_cap: int, sweeps: str | None):
     def wrap(fn: Callable[[VerifyReport, Universe, int], str]):
-        _REGISTRY[tid] = (claim, default_cap, hard_cap, fn)
+        _REGISTRY[tid] = (claim, default_cap, hard_cap, sweeps, fn)
         return fn
 
     return wrap
@@ -205,25 +245,40 @@ def claim_of(tid: str) -> str:
     return _REGISTRY[tid][0]
 
 
-def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = None) -> VerifyReport:
-    """Run one verifier and return its report.
+def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
+    """The order ``tid`` sweeps up to, or the ``ValueError`` that refuses the run.
 
-    ``max_n`` overrides the verifier's default size cap.  It must be at
-    least 1, and above the hard cap only when a universe file covers every
-    order up to it; ``universe`` supplies the graphs, and ``None`` means the
-    built-in enumeration.
+    Only a verifier that reads the universe can have its hard cap lifted by
+    files, and only when they cover every order above it.
     """
     if tid not in _REGISTRY:
         known = ", ".join(theorem_ids())
         raise ValueError(f"unknown theorem id {tid!r} (known: {known})")
-    claim, default_cap, hard_cap, fn = _REGISTRY[tid]
-    if universe is None:
-        universe = Universe()
+    _, default_cap, hard_cap, sweeps, _ = _REGISTRY[tid]
     cap = default_cap if max_n is None else max_n
     if cap < 1:
         raise ValueError(f"max_n must be at least 1, got {cap}")
-    if cap > hard_cap and not all(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
-        raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
+    if cap > hard_cap:
+        if sweeps is None:
+            raise ValueError(f"{tid} is capped at max_n={hard_cap}; it reads no universe file")
+        if not all(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
+            raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
+    return cap
+
+
+def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = None) -> VerifyReport:
+    """Run one verifier and return its report.
+
+    ``max_n`` overrides the verifier's default size cap.  It must be at
+    least 1, and above the hard cap only for a verifier that reads the
+    universe and only when a universe file covers every order up to it;
+    ``universe`` supplies the graphs, and ``None`` means the built-in
+    enumeration.
+    """
+    if universe is None:
+        universe = Universe()
+    cap = _cap(tid, max_n, universe)
+    claim, _, _, _, fn = _REGISTRY[tid]
     report = VerifyReport(tid, claim)
     start = time.perf_counter()
     report.universe = fn(report, universe, cap)
@@ -232,11 +287,28 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
     return report
 
 
+def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executor | None, shards: int) -> list:
+    """Build the built-in orders that the verifiers ``ids`` sweep; return the part each reads.
+
+    Every order up to a verifier's cap that no file covers is enumerated in
+    ``universe`` before any verifier starts, in ``pool`` split ``shards`` ways
+    (see ``families.build_classes``).  A run that ``verify`` would refuse is
+    refused here, with the same message, before anything is built.
+    """
+    caps = [_cap(tid, max_n, universe) for tid in ids]
+    kinds = [_REGISTRY[tid][3] for tid in ids]
+    for kind in ("connected", "trees"):
+        tops = [cap for sweeps, cap in zip(kinds, caps) if sweeps == kind]
+        if tops:
+            universe.build(kind, max(tops), pool, shards)
+    return [universe.part(kind, cap) for kind, cap in zip(kinds, caps)]
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-@_verifier("T1", "zero forcing number 1 exactly for paths", 7, 8)
+@_verifier("T1", "zero forcing number 1 exactly for paths", 7, 8, "connected")
 def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(1, cap):
         run.count()
@@ -251,7 +323,7 @@ def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, 8)
+@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, 8, "connected")
 def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)
@@ -272,7 +344,9 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 5<=n<={cap}"
 
 
-@_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, 8)
+@_verifier(
+    "T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, 8, "connected"
+)
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
     for g in u.between(1, cap):
@@ -300,7 +374,7 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}, both directions"
 
 
-@_verifier("T4", "smallest graphs that need two power dominators", 7, 8)
+@_verifier("T4", "smallest graphs that need two power dominators", 7, 8, "connected")
 def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     top = min(7, cap)
     two_at_six = []
@@ -344,7 +418,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs n<=5; order 6; Wagner graph; twin-free n<={top}"
 
 
-@_verifier("T5", "parameter table for the basic families", 10, 12)
+@_verifier("T5", "parameter table for the basic families", 10, 12, None)
 def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(3, cap + 1):
         rows: list[tuple[str, Graph, int, int, int]] = [
@@ -388,7 +462,7 @@ def _partitions_nondecreasing(total: int, least: int = 1) -> Iterator[tuple[int,
             yield (first,) + rest
 
 
-@_verifier("T6", "complete multipartite graphs and single-edge deletions", 10, 12)
+@_verifier("T6", "complete multipartite graphs and single-edge deletions", 10, 12, None)
 def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
     skipped_disconnected = 0
     literal_conflicts: list[str] = []
@@ -453,7 +527,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"complete multipartite part profiles of total order <= {cap}, one edge per part pair"
 
 
-@_verifier("T7", "tree power domination equals the spider partition number", 9, MAX_TREE_ORDER)
+@_verifier("T7", "tree power domination equals the spider partition number", 9, MAX_TREE_ORDER, "trees")
 def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):
@@ -471,7 +545,7 @@ def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"all trees 1<=n<={cap}"
 
 
-@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, 8)
+@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, 8, "connected")
 def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):
@@ -499,7 +573,9 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T9", "large maximum degree keeps the power domination number small", 8, MAX_BUILTIN_ORDER)
+@_verifier(
+    "T9", "large maximum degree keeps the power domination number small", 8, MAX_BUILTIN_ORDER, "connected"
+)
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(1, cap):
@@ -531,7 +607,7 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}; witness search for max degree n-5"
 
 
-@_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, 8)
+@_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, 8, "connected")
 def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(4, cap):
@@ -564,7 +640,7 @@ def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 4<=n<={cap} having a vertex of degree n-3"
 
 
-@_verifier("T11", "(n-3)-regular power domination criterion", 10, 12)
+@_verifier("T11", "(n-3)-regular power domination criterion", 10, 12, None)
 def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
     skipped = 0
     for n in range(5, cap + 1):
@@ -601,7 +677,7 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"(n-3)-regular connected graphs 5<=n<={cap} (cycle-union complements)"
 
 
-@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, 8)
+@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, 8, "connected")
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(3, cap):
         run.count()
@@ -619,7 +695,7 @@ def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 3<=n<={cap} (disconnected complements count as infinite diameter)"
 
 
-@_verifier("T13", "lexicographic product power domination formula", 4, 5)
+@_verifier("T13", "lexicographic product power domination formula", 4, 5, "connected")
 def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = list(u.between(2, cap))
     pairs = [(g, h) for g in factors for h in factors]
@@ -647,7 +723,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
     )
 
 
-@_verifier("T14", "grid power domination formula", 8, 10)
+@_verifier("T14", "grid power domination formula", 8, 10, None)
 def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     for m in range(1, min(5, cap) + 1):
         for n in range(m, cap + 1):
@@ -660,7 +736,7 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"grids P_m box P_n with 1<=m<=min(5,{cap}), m<=n<={cap}"
 
 
-@_verifier("T15", "Cartesian product power domination bounds", 5, 6)
+@_verifier("T15", "Cartesian product power domination bounds", 5, 6, "connected")
 def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = list(u.between(2, cap))
     small = list(u.between(2, 3))
@@ -705,6 +781,26 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     )
 
 
+def _recheck_power_domination(g: Graph, value: int) -> None:
+    """Solve ``g`` afresh and raise unless its certificate proves power domination number ``value``.
+
+    The force log must be valid, start from the closed neighbourhood of a
+    ``value``-vertex witness and reach every vertex.
+    """
+    result = power_domination_number(g)
+    log = result.certificate
+    log.validate(g)
+    reached = sum(1 << v for chain in log.chains for v in chain)
+    if not (
+        result.value == result.witness.bit_count() == value
+        and log.initial == g.closed_neighborhood(result.witness)
+        and reached == g.full_mask
+    ):
+        raise RuntimeError(
+            f"{write_graph6(g)} fails its re-check: power domination number {result.value}, not {value}"
+        )
+
+
 def _pendant_path_dominatable(h: Graph) -> bool:
     """True iff ``h`` is a graph with a dominating vertex plus a pendant path.
 
@@ -741,7 +837,7 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
     return False
 
 
-@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, 8)
+@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, 8, "connected")
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     witness = None
@@ -785,6 +881,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     f"power_domination_1={actual}",
                 )
     if witness is not None:
+        _recheck_power_domination(cartesian_product(witness, p2), 3)
         run.note(
             f"witness: {write_graph6(witness)} has power domination number 2 and its "
             "product with an edge needs 3 (re-checked standalone)"

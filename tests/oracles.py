@@ -192,6 +192,28 @@ def brute_canonical_key(g) -> tuple:
     return (n,) + (best if best is not None else ())
 
 
+def brute_automorphisms(g) -> set[tuple[int, ...]]:
+    """Every vertex permutation ``p`` (``p[v]`` is ``v``'s image) that keeps
+    the edge set, found by assigning images vertex by vertex and dropping a
+    partial map as soon as it breaks an edge or a non-edge."""
+    adj = adj_sets(g)
+    found = set()
+
+    def extend(images: list[int]) -> None:
+        v = len(images)
+        if v == g.n:
+            found.add(tuple(images))
+            return
+        for w in range(g.n):
+            if w in images or len(adj[w]) != len(adj[v]):
+                continue
+            if all((u in adj[v]) == (images[u] in adj[w]) for u in range(v)):
+                extend(images + [w])
+
+    extend([])
+    return found
+
+
 def brute_minor(g, pattern) -> bool:
     """Exhaustive branch-set assignment: every labeling of host vertices with
     pattern vertices or 'unused'."""

@@ -256,8 +256,12 @@ def test_verify_workers_match_serial(capsys, tmp_path):
     # The second case sends the parent's parsed universe to the workers.
     universe = tmp_path / "six.g6"
     universe.write_text("".join(write_graph6(g) + "\n" for g in enumerate_connected(6)), encoding="ascii")
-    for extra in (("--max-n", "5"), ("--max-n", "6", "--universe", str(universe))):
-        args = ("verify", "--ids", "T1,T3", "--format", "json", *extra)
+    for extra in (
+        ("--ids", "T1,T3", "--max-n", "5"),
+        ("--ids", "T1,T3", "--max-n", "6", "--universe", str(universe)),
+        ("--ids", "T1,T7", "--max-n", "6"),  # the pool builds both kinds of universe first
+    ):
+        args = ("verify", "--format", "json", *extra)
         code1, out1, _ = run(capsys, *args, "--workers", "1")
         code2, out2, _ = run(capsys, *args, "--workers", "2")
         assert code1 == code2 == 0
@@ -364,6 +368,18 @@ def test_runtime_loads_only_standard_library_modules(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
     assert json.loads((tmp_path / "r.json").read_text())["reports"][1]["theorem"] == "T14"
+
+
+def test_python_dash_m_zfpd_runs_the_cli():
+    import zfpd
+
+    src = str(pathlib.Path(zfpd.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "zfpd", "--help"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: zfpd")
 
 
 def test_tracer_bindings_exist():

@@ -1,13 +1,19 @@
+import pathlib
 import random
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from zfpd.graph import Graph
+import zfpd.families as families
 from zfpd.families import (
     MAX_BUILTIN_ORDER,
+    _attach_leaf,
+    _attach_vertex,
     _iso_key,
+    _iso_search,
     are_isomorphic,
     canonical_graph,
     canonical_key,
@@ -29,7 +35,9 @@ from zfpd.families import (
 )
 from zfpd.products import cartesian_product
 
-from oracles import brute_canonical_key, random_graph
+from oracles import brute_automorphisms, brute_canonical_key, random_graph
+
+DATA_FILE = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "connected_1to8.g6"
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -339,3 +347,71 @@ def test_enumeration_order_is_canonical():
         assert all(g == canonical_graph(g) for g in reps)
         keys = [canonical_key(g) for g in reps]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_enumeration_matches_the_checked_in_universe_file():
+    with open(DATA_FILE, encoding="ascii") as fh:  # opened read-only
+        lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    built = [write_graph6(g) for n in range(1, 8) for g in enumerate_connected(n)]
+    assert built == lines[: len(built)] and len(built) == 996
+
+
+# ---------------------------------------------------------------------------
+# automorphism generators and orbit-pruned candidates
+
+
+def _generated_group(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    todo = list(group)
+    for p in todo:
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def _vertex_orbits(perms, n: int) -> set[frozenset[int]]:
+    return {frozenset(p[v] for p in perms) for v in range(n)}
+
+
+def test_iso_search_generates_the_automorphism_group():
+    rng = random.Random(13)
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [t for n in range(1, 9) for t in enumerate_trees(n)]
+    for g in graphs:
+        for h in (g, _relabeled(g, rng)):
+            group = _generated_group(_iso_search(h.adj)[1], h.n)
+            brute = brute_automorphisms(h)
+            assert len(group) == len(brute), write_graph6(h)
+            assert _vertex_orbits(group, h.n) == _vertex_orbits(brute, h.n), write_graph6(h)
+            assert group == brute, write_graph6(h)
+
+
+def test_orbit_pruned_candidates_reach_every_class():
+    # No generators means no pruning: every nonempty subset, every vertex.
+    for n in range(1, 7):
+        for extend, parents in ((_attach_vertex, enumerate_connected(n)), (_attach_leaf, enumerate_trees(n))):
+            for g in parents:
+                gens = _iso_search(g.adj)[1]
+                pruned = [_iso_key(c) for c in extend(g.adj, gens)]
+                assert {_iso_key(c) for c in extend(g.adj, [])} == set(pruned), write_graph6(g)
+                assert len(pruned) == len(set(pruned))  # one candidate per orbit, no two isomorphic
+    assert len(list(_attach_vertex(complete(4).adj, _iso_search(complete(4).adj)[1]))) == 4
+
+
+def test_pool_build_equals_the_serial_build(monkeypatch):
+    from zfpd.theorems import Universe
+
+    serial_connected = [tuple(enumerate_connected(n)) for n in range(1, 7)]
+    serial_trees = [tuple(enumerate_trees(n)) for n in range(1, 9)]
+    # An empty cache, so the orders are built again, through the pool.
+    monkeypatch.setattr(families, "_BUILT", {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)})
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        u = Universe()
+        u.build("connected", 6, pool, 2)
+        u.build("trees", 8, pool, 2)
+    assert len(families._BUILT) == 6 + 8  # every order was built again
+    assert [u.connected(n) for n in range(1, 7)] == serial_connected  # Graph equality is adjacency equality
+    assert [u.trees(n) for n in range(1, 9)] == serial_trees

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from itertools import chain
 
@@ -152,6 +153,12 @@ def test_triangle_inequality_spot_check():
         g = random_connected_graph(rng, rng.randint(2, 8), 0.3)
         u, v, w = (rng.randrange(g.n) for _ in range(3))
         assert g.distance(u, w) <= g.distance(u, v) + g.distance(v, w)
+
+
+def test_pickle_round_trip_keeps_the_graph():
+    for g in (Graph(0), Graph(1), path(5), complete(4), star(6)):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.n == g.n and back.m == g.m
 
 
 def test_k_subsets_order_and_count():

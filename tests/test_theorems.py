@@ -4,7 +4,8 @@ from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_g
 from zfpd.graph import Graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
-from zfpd.theorems import Universe, _pd_at_most, claim_of, theorem_ids, verify
+from zfpd.products import cartesian_product
+from zfpd.theorems import Universe, _pd_at_most, _recheck_power_domination, claim_of, prepare, theorem_ids, verify
 
 H_GRAPH_G6 = write_graph6(canonical_graph(h_graph()))
 
@@ -34,6 +35,36 @@ def test_hard_cap_lift_needs_every_order_above_it(tmp_path):
     only10.write_text(write_graph6(path(10)) + "\n", encoding="ascii")
     with pytest.raises(ValueError, match="^T1 is capped at max_n=8 without a universe file$"):
         verify("T1", max_n=10, universe=Universe([str(only10)]))
+
+
+def test_a_file_lifts_no_cap_of_a_verifier_that_reads_no_universe(tmp_path):
+    above = tmp_path / "paths.g6"
+    above.write_text("".join(write_graph6(path(n)) + "\n" for n in range(11, 14)), encoding="ascii")
+    u = Universe([str(above)])
+    for tid, hard_cap in (("T5", 12), ("T6", 12), ("T11", 12), ("T14", 10)):
+        with pytest.raises(ValueError, match=f"^{tid} is capped at max_n={hard_cap}; it reads no universe file$"):
+            verify(tid, max_n=hard_cap + 1, universe=u)
+
+
+def test_prepare_refuses_before_building_anything():
+    class NoJobsPool:
+        def submit(self, fn, *args):
+            raise AssertionError("nothing may be built")
+
+    with pytest.raises(ValueError, match="^T1 is capped at max_n=8 without a universe file$"):
+        prepare(Universe(), ["T7", "T1"], 9, NoJobsPool(), 2)
+
+
+def test_prepare_hands_each_verifier_only_what_it_reads(tmp_path):
+    six = tmp_path / "six.g6"
+    six.write_text(write_graph6(path(6)) + "\n", encoding="ascii")
+    u = Universe([str(six)])
+    parts = prepare(u, ["T13", "T7", "T5"], None, None, 1)  # no pool: built in this process
+    t13, t7, t5 = (part._orders for part in parts)
+    assert sorted(t13["connected"]) == [1, 2, 3, 4, 6] and t13["trees"] == {}  # order 6 comes from the file
+    assert t7["connected"] == {} and sorted(t7["trees"]) == list(range(1, 10))
+    assert t5 == {"connected": {}, "trees": {}}
+    assert t13["connected"][6] is u.connected(6) and len(u.connected(6)) == 1
 
 
 def test_max_n_below_one_is_refused():
@@ -163,6 +194,13 @@ def test_t16_jump_search_finds_the_order_8_witness(tmp_path):
         "witness: G?KuEG has power domination number 2 and its product with an edge "
         "needs 3 (re-checked standalone)"
     ]
+
+
+def test_t16_witness_recheck_fails_loudly_on_a_wrong_value():
+    product = cartesian_product(parse_graph6("G?KuEG"), path(2))
+    _recheck_power_domination(product, 3)
+    with pytest.raises(RuntimeError, match="power domination number 3, not 2"):
+        _recheck_power_domination(product, 2)
 
 
 def test_t16_house_counterexample_replays():
