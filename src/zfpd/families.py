@@ -8,10 +8,13 @@ refinement and individualization, the same search that yields the
 automorphism group's generators; each class is then relabeled once by the
 canonical labeling, the lexicographically smallest upper-triangle adjacency
 bitstring over all vertex orderings, which also sorts the classes.  That
-minimum is found by a search pruned level by level, so it stays fast even on
-the symmetric graphs where trying all ``n!`` orderings would hurt, but it is
-the costlier of the two and runs once per class, not per candidate.  Both
-steps work on slices of an order, so a process pool can share it out.
+minimum is found one column at a time, merging partial orderings whose
+remaining vertices and bit patterns toward the placed ones are equal.
+Orderings that differ only by an automorphism are not merged, so on trees
+the states multiply and the labelling is slow (ROADMAP.md lists automorphism
+pruning as the open fix).  It is the costlier of the two steps and runs once
+per class, not per candidate.  Both steps work on slices of an
+order, so a process pool can share it out.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "write_graph6",
     "read_graph6_lines",
     "canonical_key",
-    "canonical_permutation",
     "canonical_graph",
     "are_isomorphic",
     "enumerate_connected",
@@ -344,46 +346,42 @@ def parse_edge_list(lines: Iterable[str]) -> Graph | None:
 # The canonical key of a graph is the minimum, over all vertex orderings, of
 # the tuple of upper-triangle adjacency columns (column j holds the bits
 # toward the j-th placed vertex, earliest placed vertex most significant).
-# Minimizing column by column is exact for a lexicographic objective, and
-# partial orderings with identical futures are merged, which collapses the
-# orbits of highly symmetric graphs.  This key fixes every representative's
-# labels (hence its graph6 string) and the order of every universe, but
-# finding the minimum is the costly part of enumeration, so it runs once per
-# isomorphism class; deduplication and memo lookups use ``_iso_key`` below.
+# Minimizing column by column is exact for a lexicographic objective.  A
+# search state holds the vertices not yet placed and each one's bit pattern
+# toward the placed prefix; two partial orderings with equal states have the
+# same completions, so they are merged.  Orderings that an automorphism maps
+# onto each other mostly leave different vertices unplaced and stay apart, so
+# on trees and other graphs with many automorphisms the states multiply.
+# The key is the canonical form's whole upper triangle, so ``_from_key``
+# rebuilds the graph from it: it fixes every representative's labels (hence
+# its graph6 string) and the order of every universe.  Finding the minimum is
+# the costly part of enumeration, so it runs once per isomorphism class;
+# deduplication and memo lookups use ``_iso_key`` below.
 
 
-def _canon(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canon(adj: tuple[int, ...]) -> tuple[int, ...]:
     n = len(adj)
-    if n == 0:
-        return (), ()
     # state: (remaining vertices, their bit patterns toward the placed prefix
-    # in matching order, the placed prefix itself)
-    states = [(tuple(range(n)), (0,) * n, ())]
+    # in matching order), one dict entry each
+    states = {(tuple(range(n)), (0,) * n): None}
+    best = 0  # every remaining pattern is empty before the first placement
     key = []
-    for pos in range(n):
-        best = min(min(pats) for _, pats, _ in states)
-        if pos:
-            key.append(best)
-        nxt = []
-        seen_sigs = set()
-        for rem, pats, placed in states:
+    for _ in range(n - 1):
+        nxt = {}
+        for rem, pats in states:
             for i, col in enumerate(pats):
                 if col != best:
                     continue
-                v = rem[i]
-                row = adj[v]
-                nrem = rem[:i] + rem[i + 1 :]
+                row = adj[rem[i]]
                 npats = []
                 for j, x in enumerate(rem):
                     if j != i:
                         npats.append(pats[j] << 1 | (row >> x & 1))
-                sig = (nrem, tuple(npats))
-                if sig in seen_sigs:
-                    continue
-                seen_sigs.add(sig)
-                nxt.append((nrem, sig[1], placed + (v,)))
+                nxt[rem[:i] + rem[i + 1 :], tuple(npats)] = None
         states = nxt
-    return tuple(key), states[0][2]
+        best = min(min(pats) for _, pats in states)
+        key.append(best)
+    return tuple(key)
 
 
 def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
@@ -402,17 +400,12 @@ def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
 
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Isomorphism-invariant key: two graphs share it iff they are isomorphic."""
-    return (g.n,) + _canon(g.adj)[0]
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """An ordering realizing the canonical key; entry i is the old label at position i."""
-    return _canon(g.adj)[1]
+    return (g.n,) + _canon(g.adj)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabel ``g`` into its canonical form."""
-    return Graph.from_rows(_relabel(g.adj, canonical_permutation(g)))
+    return _from_key(_canon(g.adj), g.n)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -569,15 +562,11 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     Built-in enumeration covers ``1 <= n <= 8``; larger orders must come from
     external graph6 files.
     """
-    if not 1 <= n <= MAX_BUILTIN_ORDER:
-        raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}, not {n}")
     yield from build_classes("connected", n)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one canonical representative per tree isomorphism class of order ``n``."""
-    if not 1 <= n <= MAX_TREE_ORDER:
-        raise ValueError(f"tree enumeration covers 1..{MAX_TREE_ORDER}, not {n}")
     yield from build_classes("trees", n)
 
 
@@ -595,7 +584,8 @@ def _attach_leaf(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Itera
         yield tuple(rows)
 
 
-_EXTEND = {"connected": _attach_vertex, "trees": _attach_leaf}
+# kind -> (candidate generator, highest order built in)
+_EXTEND = {"connected": (_attach_vertex, MAX_BUILTIN_ORDER), "trees": (_attach_leaf, MAX_TREE_ORDER)}
 
 
 def _pack(rows: Iterable[int], width: int) -> int:
@@ -617,24 +607,24 @@ def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> set[int]:
     A key is the adjacency of the best leaf's labelling, so it stands for
     its class in the label step too.
     """
-    extend = _EXTEND[kind]
+    extend = _EXTEND[kind][0]
     n = len(parents[0]) + 1
     return {_pack(_iso_key(child), n) for adj in parents for child in extend(adj, _iso_search(adj)[1])}
 
 
 def _label(classes: Sequence[int], n: int) -> list[int]:
     """Label step: the packed ``_canon`` key of each packed adjacency of order ``n``."""
-    return [_pack(_canon(_unpack(adj, n, n))[0], n) for adj in classes]
+    return [_pack(_canon(_unpack(adj, n, n)), n) for adj in classes]
 
 
-def _from_key(key: int, n: int) -> Graph:
-    """The order-``n`` graph in canonical labels whose packed ``_canon`` key is ``key``.
+def _from_key(key: tuple[int, ...], n: int) -> Graph:
+    """The order-``n`` graph in canonical labels whose ``_canon`` key is ``key``.
 
     Entry ``j - 1`` of the key holds vertex ``j``'s edges to ``0..j-1``,
     vertex 0 in the highest of its ``j`` bits.
     """
     rows = [0] * n
-    for j, col in enumerate(_unpack(key, n, n - 1), start=1):
+    for j, col in enumerate(key, start=1):
         for i in range(j):
             if col >> (j - 1 - i) & 1:
                 rows[i] |= 1 << j
@@ -664,13 +654,20 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
     Missing orders are built upward from the highest one cached, each
     order's shard and label steps split ``shards`` ways and run in ``pool``
     (anything with ``submit``) or, without one, in this process.  The result
-    does not depend on ``pool`` or ``shards``.
+    does not depend on ``pool`` or ``shards``.  An unknown ``kind``, or an
+    order above its cap (``MAX_BUILTIN_ORDER`` or ``MAX_TREE_ORDER``), is
+    refused with ``ValueError``.
     """
+    if kind not in _EXTEND:
+        raise ValueError(f"unknown kind {kind!r} (choose from {', '.join(_EXTEND)})")
+    if not 1 <= n <= _EXTEND[kind][1]:
+        raise ValueError(f"built-in {kind} enumeration covers 1..{_EXTEND[kind][1]}, not {n}")
     if (kind, n) not in _BUILT:
         parents = [g.adj for g in build_classes(kind, n - 1, pool, shards)]
         classes: set[int] = set()
         for found in _run(pool, _expand, [(part, kind) for part in _slices(parents, shards)]):
             classes |= found
         labelled = _run(pool, _label, [(part, n) for part in _slices(list(classes), shards)])
-        _BUILT[kind, n] = tuple(_from_key(key, n) for key in sorted(key for part in labelled for key in part))
+        keys = sorted(key for part in labelled for key in part)
+        _BUILT[kind, n] = tuple(_from_key(_unpack(key, n, n - 1), n) for key in keys)
     return _BUILT[kind, n]

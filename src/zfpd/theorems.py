@@ -134,17 +134,16 @@ class Universe:
         self._orders = {"connected": connected, "trees": trees}
 
     def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
-        """Build the ``kind`` orders ``1..top`` not yet held, up to the built-in cap.
+        """Build the ``kind`` orders ``1..top`` not yet held.
 
-        ``pool`` and ``shards`` are as in ``families.build_classes``.
+        ``pool`` and ``shards`` are as in ``families.build_classes``, which
+        refuses an order above the built-in cap.
         """
-        held = self._orders[kind]
-        top = min(top, MAX_BUILTIN_ORDER if kind == "connected" else MAX_TREE_ORDER)
-        missing = [n for n in range(1, top + 1) if n not in held]
+        missing = [n for n in range(1, top + 1) if n not in self._orders[kind]]
         if missing:
             build_classes(kind, missing[-1], pool, shards)  # builds the orders below it too
             for n in missing:
-                held[n] = build_classes(kind, n)
+                getattr(self, kind)(n)
 
     def part(self, kind: str | None, top: int) -> Universe:
         """A copy holding only what a verifier of ``kind`` reads up to ``top``.
@@ -162,11 +161,6 @@ class Universe:
     def connected(self, n: int) -> tuple[Graph, ...]:
         held = self._orders["connected"]
         if n not in held:
-            if n > MAX_BUILTIN_ORDER:
-                raise ValueError(
-                    f"no universe for order {n}: built-in enumeration stops at "
-                    f"{MAX_BUILTIN_ORDER}, supply a graph6 file"
-                )
             held[n] = tuple(enumerate_connected(n))
         return held[n]
 
@@ -177,8 +171,6 @@ class Universe:
     def trees(self, n: int) -> tuple[Graph, ...]:
         held = self._orders["trees"]
         if n not in held:
-            if n > MAX_TREE_ORDER:
-                raise ValueError(f"no tree universe for order {n}: supply a graph6 file")
             held[n] = tuple(enumerate_trees(n))
         return held[n]
 

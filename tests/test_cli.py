@@ -370,6 +370,25 @@ def test_runtime_loads_only_standard_library_modules(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["reports"][1]["theorem"] == "T14"
 
 
+def test_every_exported_name_resolves():
+    # A stale __all__ entry breaks only `from zfpd.<module> import *`, which nothing else runs.
+    import ast
+    import importlib
+    import pkgutil
+
+    import zfpd
+
+    for info in pkgutil.iter_modules(zfpd.__path__):
+        if info.name != "__main__":
+            exec(f"from zfpd.{info.name} import *", {})
+    tree = ast.parse(pathlib.Path(zfpd.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"zfpd.{node.module}")
+            for alias in node.names:
+                assert getattr(zfpd, alias.asname or alias.name) is getattr(source, alias.name)
+
+
 def test_python_dash_m_zfpd_runs_the_cli():
     import zfpd
 

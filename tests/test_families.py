@@ -10,11 +10,13 @@ from zfpd.graph import Graph
 import zfpd.families as families
 from zfpd.families import (
     MAX_BUILTIN_ORDER,
+    MAX_TREE_ORDER,
     _attach_leaf,
     _attach_vertex,
     _iso_key,
     _iso_search,
     are_isomorphic,
+    build_classes,
     canonical_graph,
     canonical_key,
     complete,
@@ -226,6 +228,34 @@ def _relabeled(g: Graph, rng: random.Random) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _every_labelled_graph(top: int) -> list[Graph]:
+    """Every graph on the vertices ``0..n-1`` for ``0 <= n <= top``, disconnected ones included."""
+    graphs = []
+    for n in range(top + 1):
+        all_pairs = list(combinations(range(n), 2))
+        for picks in range(1 << len(all_pairs)):
+            graphs.append(Graph(n, [e for i, e in enumerate(all_pairs) if picks >> i & 1]))
+    return graphs
+
+
+def _columns(g: Graph) -> tuple[int, ...]:
+    """Upper-triangle columns: column ``j`` holds ``j``'s edges to ``0..j-1``, vertex 0 highest."""
+    return tuple(sum((g.adj[i] >> j & 1) << (j - 1 - i) for i in range(j)) for j in range(1, g.n))
+
+
+def test_canonical_graph_matches_brute_force():
+    # canonical_graph rebuilds the graph from its key alone, so check that the
+    # result is g up to isomorphism and carries the brute-force minimum columns.
+    rng = random.Random(43)
+    graphs = _every_labelled_graph(5)
+    graphs += [_relabeled(random_graph(rng, n, rng.random()), rng) for n in range(6, 10) for _ in range(25)]
+    for g in graphs:
+        h = canonical_graph(g)
+        assert _iso_key(h.adj) == _iso_key(g.adj), write_graph6(g)
+        if g.n <= 6:
+            assert _columns(h) == brute_canonical_key(g)[1:], write_graph6(g)
+
+
 def _same_classes(graphs: list[Graph], key_a, key_b) -> None:
     # Two keys induce the same partition iff equal a-keys pair with equal b-keys.
     pairs = {(key_a(g), key_b(g)) for g in graphs}
@@ -233,12 +263,7 @@ def _same_classes(graphs: list[Graph], key_a, key_b) -> None:
 
 
 def test_iso_key_matches_brute_force():
-    every_graph = []
-    for n in range(6):
-        all_pairs = list(combinations(range(n), 2))
-        for picks in range(1 << len(all_pairs)):
-            every_graph.append(Graph(n, [e for i, e in enumerate(all_pairs) if picks >> i & 1]))
-    _same_classes(every_graph, lambda g: _iso_key(g.adj), brute_canonical_key)
+    _same_classes(_every_labelled_graph(5), lambda g: _iso_key(g.adj), brute_canonical_key)
     rng = random.Random(31)
     sample = []
     for _ in range(60):
@@ -324,10 +349,27 @@ def test_enumeration_against_networkx_dedup():
 
 
 def test_enumeration_caps():
+    from zfpd.theorems import Universe
+
     with pytest.raises(ValueError):
         list(enumerate_connected(0))
     with pytest.raises(ValueError):
         list(enumerate_connected(MAX_BUILTIN_ORDER + 1))
+    # build_classes is the one place that knows the caps; nothing is built past them
+    refused = [
+        lambda: build_classes("connected", 0),
+        lambda: build_classes("trees", 0),
+        lambda: build_classes("connected", MAX_BUILTIN_ORDER + 1),
+        lambda: build_classes("trees", MAX_TREE_ORDER + 1),
+        lambda: Universe().connected(MAX_BUILTIN_ORDER + 1),
+        lambda: Universe().trees(MAX_TREE_ORDER + 1),
+        lambda: Universe().build("connected", MAX_BUILTIN_ORDER + 1, None, 1),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"enumeration covers 1\.\.\d+, not \d+$"):
+            call()
+    with pytest.raises(ValueError, match="unknown kind 'forest'"):
+        build_classes("forest", 3)
 
 
 def test_tree_counts():

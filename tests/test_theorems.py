@@ -1,11 +1,11 @@
 import pytest
 
-from zfpd.families import complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
+from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
 from zfpd.graph import Graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
 from zfpd.products import cartesian_product
-from zfpd.theorems import Universe, _pd_at_most, _recheck_power_domination, claim_of, prepare, theorem_ids, verify
+from zfpd.theorems import _REGISTRY, Universe, _pd_at_most, _recheck_power_domination, claim_of, prepare, theorem_ids, verify
 
 H_GRAPH_G6 = write_graph6(canonical_graph(h_graph()))
 
@@ -19,6 +19,17 @@ def test_theorem_ids_complete():
 def test_unknown_id():
     with pytest.raises(ValueError, match="unknown theorem id"):
         verify("T99")
+
+
+def test_no_hard_cap_passes_the_built_in_cap_of_the_universe_it_sweeps():
+    # Universe asks build_classes for any order it lacks; verify refuses every
+    # order above a hard cap that no file covers, so none reaches past the built-in cap.
+    built_in = {"connected": MAX_BUILTIN_ORDER, "trees": MAX_TREE_ORDER}
+    for tid, (_, default_cap, hard_cap, sweeps, _) in _REGISTRY.items():
+        assert sweeps in (None, *built_in), tid
+        assert default_cap <= hard_cap, tid
+        if sweeps is not None:
+            assert hard_cap <= built_in[sweeps], tid
 
 
 def test_cap_without_universe_file():
