@@ -17,10 +17,19 @@ cover every vertex even with all the rows still available to it.  The
 tests compare every solver with unpruned reference sweeps for every set
 size.
 
-The two partition-valued solvers list their candidate parts, the induced
-paths of a graph or the spiders of a tree, by growing each one a vertex at
-a time from a single vertex, and then pick the fewest parts that partition
-the vertices with one subset dynamic program, ``_min_partition``.
+The two partition-valued solvers answer 1 for a graph that is itself one
+part, a path or a spider, before listing any part.  Otherwise they list
+their candidate parts, the induced paths of a graph or the spiders of a
+tree, by growing each one a vertex at a time from a single vertex, and
+``_fewest_parts`` runs budgets ``k = 1, 2, ...`` through ``_minimum``.
+Budget ``k`` asks whether the vertices split into at most ``k`` parts, by a
+depth-first search over the parts that hold the lowest uncovered vertex,
+largest first; a memo keeps, for each vertex set it refutes, the largest
+budget refuted, from one ``k`` to the next.  At ``k = 2`` the search is a
+set lookup of each part's complement.  The witness takes, at each step, the
+smallest part whose remainder fits in one part fewer, which is the witness
+of a subset dynamic program that keeps the smallest part mask among the
+optimal ones; the tests compare the two.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
@@ -34,9 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
-from .graph import Graph, bits, is_tree
+from .graph import Graph, bits, is_path, is_tree
 from .propagation import ForceLog, _spread, closure, closure_with_log
 
 __all__ = [
@@ -57,6 +66,7 @@ _SPIDER_CAP = 20
 _SUBSET_CAP = 1_000_000
 
 Witness = Union[int, tuple[tuple[int, ...], ...]]
+W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -167,19 +177,19 @@ def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     return _first_subset(g, _closed_rows(g), k, "force", "power domination")
 
 
-def _minimum(g: Graph, find: Callable[[Graph, int], Optional[int]], lo: int) -> tuple[int, int]:
-    """Smallest ``k >= lo`` for which ``find(g, k)`` returns a set, and that set.
+def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int) -> tuple[int, W]:
+    """Smallest ``k >= lo`` for which ``find(g, k)`` finds a witness, and that witness.
 
-    Refuses an empty or disconnected ``g``.  On a connected graph the whole
-    vertex set qualifies for every parameter solved here, so some ``k <= n``
-    always does.
+    Refuses an empty or disconnected ``g``.  On a connected graph some
+    ``k <= n`` always qualifies: the whole vertex set for every set-valued
+    parameter solved here, the ``n`` single vertices for the partitions.
     """
     _require_connected(g)
     for k in range(lo, g.n + 1):
         m = find(g, k)
         if m is not None:
             return k, m
-    raise AssertionError("unreachable: the full vertex set always qualifies")
+    raise AssertionError("unreachable: some k <= n always qualifies")
 
 
 def zero_forcing_number(g: Graph) -> ParamResult:
@@ -211,7 +221,7 @@ def total_domination_number(g: Graph) -> ParamResult:
 
 
 # ---------------------------------------------------------------------------
-# partition-valued parameters, both solved by the same subset dynamic program
+# partition-valued parameters, both solved by the same budgeted search
 
 
 def _induced_path_masks(g: Graph) -> list[int]:
@@ -260,46 +270,43 @@ def _spider_masks(t: Graph) -> list[int]:
     return sorted(found)
 
 
-def _min_partition(g: Graph, parts: list[int]) -> tuple[int, list[int]]:
-    """Fewest parts from ``parts`` partitioning all vertices, plus one witness.
-
-    Subset DP keyed on the lowest uncovered vertex; ties go to the smallest
-    part mask, keeping witnesses deterministic.
-    """
+def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
+    """Fewest of the ascending ``parts`` partitioning all vertices of ``g``."""
     by_low: dict[int, list[int]] = {}
-    for p in parts:
-        by_low.setdefault(p & -p, []).append(p)
-    for group in by_low.values():
-        group.sort()
-    memo: dict[int, int] = {0: 0}
-    choice: dict[int, int] = {}
+    for q in parts:
+        by_low.setdefault(q & -q, []).append(q)
+    is_part = set(parts)
+    fail: dict[int, int] = {}
 
-    def solve(s: int) -> int:
-        # Only called on a state not yet in ``memo``.
-        low = s & -s
-        best = g.n + 1
-        pick = 0
-        for q in by_low.get(low, ()):
-            if q & ~s:
-                continue
-            sub = memo.get(s ^ q)
-            if sub is None:
-                sub = solve(s ^ q)
-            if sub + 1 < best:
-                best = sub + 1
-                pick = q
-        memo[s] = best
-        choice[s] = pick
-        return best
+    def fits(s: int, j: int) -> bool:
+        # Whether ``s`` splits into at most ``j`` parts.  ``fail[s]`` is the
+        # largest budget refuted for ``s`` so far.
+        if not s:
+            return True
+        if j < 2:
+            return j == 1 and s in is_part
+        if fail.get(s, 0) >= j:
+            return False
+        for q in reversed(by_low[s & -s]):
+            if q & s == q and fits(s ^ q, j - 1):
+                return True
+        fail[s] = j
+        return False
 
-    value = solve(g.full_mask)
-    witness = []
-    s = g.full_mask
-    while s:
-        q = choice[s]
-        witness.append(q)
-        s ^= q
-    return value, witness
+    def find(g: Graph, k: int) -> Optional[list[int]]:
+        # Each step takes the smallest part whose remainder fits in one part fewer.
+        s = g.full_mask
+        if not fits(s, k):
+            return None
+        witness = []
+        while s:
+            k -= 1
+            q = next(q for q in by_low[s & -s] if q & s == q and fits(s ^ q, k))
+            witness.append(q)
+            s ^= q
+        return witness
+
+    return _minimum(g, find, 1)[1]
 
 
 def _path_order(g: Graph, mask: int) -> tuple[int, ...]:
@@ -322,14 +329,14 @@ def _path_order(g: Graph, mask: int) -> tuple[int, ...]:
 def path_cover_number(g: Graph) -> ParamResult:
     """Fewest vertex-disjoint induced paths covering every vertex.
 
-    Exact subset dynamic programming; refuses graphs above 24 vertices
-    rather than degrade silently.
+    Exact, by ``_fewest_parts``; refuses graphs above 24 vertices rather
+    than degrade silently.
     """
     _require_connected(g)
     if g.n > _PATH_COVER_CAP:
         raise ValueError(f"path cover search is capped at {_PATH_COVER_CAP} vertices")
-    value, masks = _min_partition(g, _induced_path_masks(g))
-    return ParamResult(value, tuple(_path_order(g, q) for q in masks))
+    masks = [g.full_mask] if is_path(g) else _fewest_parts(g, _induced_path_masks(g))
+    return ParamResult(len(masks), tuple(_path_order(g, q) for q in masks))
 
 
 def is_spider(t: Graph) -> bool:
@@ -345,13 +352,14 @@ def is_spider(t: Graph) -> bool:
 def spider_number(t: Graph) -> ParamResult:
     """Fewest parts of a vertex partition of a tree into spider-inducing sets.
 
-    Refuses trees above 20 vertices: a star of that order already has over
-    half a million candidate parts.
+    Refuses trees above 20 vertices: at that order, a vertex with 16 leaves
+    next to one with 2 leaves already has 2^18 + 39 candidate parts, and
+    listing them takes most of a second.
     """
     _require_connected(t)
     if t.m != t.n - 1:
         raise ValueError("spider number needs a tree")
     if t.n > _SPIDER_CAP:
         raise ValueError(f"spider search is capped at {_SPIDER_CAP} vertices")
-    value, masks = _min_partition(t, _spider_masks(t))
-    return ParamResult(value, tuple(tuple(bits(q)) for q in masks))
+    masks = [t.full_mask] if is_spider(t) else _fewest_parts(t, _spider_masks(t))
+    return ParamResult(len(masks), tuple(tuple(bits(q)) for q in masks))

@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles with plain Python sets and
 itertools.combinations, deliberately sharing no code path with the library
-solvers: no bitmasks, no pruning, no Gosper enumeration.
+solvers: no bitmasks, no pruning, no Gosper enumeration.  The one exception
+is ``subset_dp_partition``, the subset DP the partition solvers used to run,
+kept on bitmasks as the reference for their value and witness.
 """
 
 from __future__ import annotations
@@ -145,6 +147,48 @@ def naive_path_cover(g) -> int:
 
 def naive_spider_number(g) -> int:
     return _min_cover(g, _induces_spider)
+
+
+def subset_dp_partition(g, parts) -> tuple[int, list[int]]:
+    """Fewest of ``parts`` (vertex masks) partitioning all vertices, plus one witness.
+
+    A memoized DP over every subset reachable by removing the parts that
+    hold the lowest uncovered vertex.  Ties go to the smallest part mask.
+    """
+    by_low: dict[int, list[int]] = {}
+    for p in parts:
+        by_low.setdefault(p & -p, []).append(p)
+    for group in by_low.values():
+        group.sort()
+    memo: dict[int, int] = {0: 0}
+    choice: dict[int, int] = {}
+
+    def solve(s: int) -> int:
+        # Only called on a state not yet in ``memo``.
+        low = s & -s
+        best = g.n + 1
+        pick = 0
+        for q in by_low.get(low, ()):
+            if q & ~s:
+                continue
+            sub = memo.get(s ^ q)
+            if sub is None:
+                sub = solve(s ^ q)
+            if sub + 1 < best:
+                best = sub + 1
+                pick = q
+        memo[s] = best
+        choice[s] = pick
+        return best
+
+    value = solve(g.full_mask)
+    witness = []
+    s = g.full_mask
+    while s:
+        q = choice[s]
+        witness.append(q)
+        s ^= q
+    return value, witness
 
 
 def bfs_distances(g, src: int, within=None) -> dict[int, int]:

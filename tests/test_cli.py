@@ -246,6 +246,24 @@ def test_verify_json_matches_golden_file(capsys):
         assert got == json.loads((DATA / golden).read_text()), golden
 
 
+def test_compute_json_matches_golden_file(capsys):
+    # Eight graphs of orders 10-14: the Petersen graph, K4,6, the 3x4 grid,
+    # two sparse random graphs, a spider and two random trees.  Every
+    # solver's value and witness is pinned, so a change in any tie rule shows.
+    code, out, _ = run(
+        capsys,
+        "compute",
+        "--input",
+        str(DATA / "compute_input.g6"),
+        "--params",
+        "zf,pd,dom,tdom,pathcover,spider",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    assert out == (DATA / "golden_compute.json").read_text()
+
+
 def test_verify_table_format(capsys):
     code, out, _ = run(capsys, "verify", "--ids", "T1", "--max-n", "4", "--format", "table")
     assert code == 0

@@ -16,7 +16,10 @@ from zfpd.families import (
     star,
     wheel,
 )
+from zfpd import invariants
 from zfpd.invariants import (
+    _induced_path_masks,
+    _spider_masks,
     domination_number,
     find_power_dominating_set,
     find_zero_forcing_set,
@@ -27,6 +30,7 @@ from zfpd.invariants import (
     total_domination_number,
     zero_forcing_number,
 )
+from zfpd.products import cartesian_product
 from zfpd.propagation import is_power_dominating_set, is_zero_forcing_set
 
 from oracles import (
@@ -42,6 +46,7 @@ from oracles import (
     naive_zero_forcing,
     random_connected_graph,
     random_graph,
+    subset_dp_partition,
 )
 
 
@@ -116,6 +121,37 @@ def test_spider_witness_parts_induce_spiders():
             seen |= pmask
             assert is_spider(t.induced_subgraph(pmask))
         assert seen == t.full_mask
+
+
+def test_partition_solvers_match_subset_dp():
+    # Value and witness, part by part, equal the reference DP's over the same
+    # part lists: the budgeted search keeps the DP's tie rule.
+    rng = random.Random(71)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [t for n in range(8, 11) for t in enumerate_trees(n)]
+    graphs += [random_connected_graph(rng, n, p) for n in range(8, 17) for p in (0.05, 0.15, 0.3)]
+    graphs += [star(24), complete_multipartite((3, 12)), cartesian_product(path(4), path(6))]
+    for g in graphs:
+        res = path_cover_number(g)
+        want = subset_dp_partition(g, _induced_path_masks(g))
+        assert (res.value, [mask_of(part) for part in res.witness]) == want, g
+        if is_tree(g) and g.n <= 20:
+            res = spider_number(g)
+            want = subset_dp_partition(g, _spider_masks(g))
+            assert (res.value, [mask_of(part) for part in res.witness]) == want, g
+
+
+def test_one_part_is_decided_without_listing_parts(monkeypatch):
+    # star(20) has 2^19 + 19 spider parts; listing them took about 1.8 s.
+    def refuse(g):
+        raise AssertionError("parts listed")
+
+    monkeypatch.setattr(invariants, "_spider_masks", refuse)
+    monkeypatch.setattr(invariants, "_induced_path_masks", refuse)
+    res = spider_number(star(20))
+    assert (res.value, res.witness) == (1, (tuple(range(20)),))
+    res = path_cover_number(path(24))
+    assert (res.value, res.witness) == (1, (tuple(range(24)),))
 
 
 def test_diameter_values():
