@@ -11,6 +11,10 @@ verifiers raise ``ValueError`` or ``IndexError`` with their own message.
 reaches ``main``, the one place that reports one, as ``error: <message>``
 on stderr with exit status 2.  Each subcommand returns its output text, and
 ``main`` writes it to stdout or ``--out`` only once the work has succeeded.
+
+Each subcommand imports what only it needs when it runs: ``compute`` and
+``gen`` never load the claim checkers (``theorems``, ``structure``) or the
+products, and only a ``verify`` run with a pool loads ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .graph import Graph, bits
 # parse_graph6 is unused here but stays a module attribute: perfbench/tracer.py
@@ -41,9 +44,9 @@ from .invariants import (
     total_domination_number,
     zero_forcing_number,
 )
-from .products import amalgamate, cartesian_product, lexicographic_product
-from . import theorems
-from .theorems import Universe, theorem_ids, verify
+
+if TYPE_CHECKING:
+    from .theorems import VerifyReport
 
 __all__ = ["main"]
 
@@ -144,6 +147,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
+    from .products import amalgamate, cartesian_product, lexicographic_product
+
     ga = _read_graphs(args.left, args.edgelist)
     gb = _read_graphs(args.right, args.edgelist)
     if not ga or not gb:
@@ -159,22 +164,32 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
     return write_graph6(result) + "\n", 0
 
 
+def verify(tid: str, **kwargs) -> VerifyReport:
+    """``theorems.verify``, imported on first call; serial ``verify`` runs call through this name."""
+    from .theorems import verify as run
+
+    return run(tid, **kwargs)
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    from . import theorems  # before the pool forks, so no worker imports it again
+
     wanted = [t.strip() for t in args.ids.split(",") if t.strip()]
     if not wanted:
         raise ValueError("no theorem ids given")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    ids = theorem_ids() if wanted == ["all"] else list(dict.fromkeys(wanted))
-    bad = [t for t in ids if t not in theorem_ids()]
+    known = theorems.theorem_ids()
+    ids = known if wanted == ["all"] else list(dict.fromkeys(wanted))
+    bad = [t for t in ids if t not in known]
     if bad:
-        raise ValueError(
-            f"unknown theorem id {', '.join(map(repr, bad))} (known ids: {', '.join(theorem_ids())})"
-        )
-    universe = Universe(args.universe or ())
+        raise ValueError(f"unknown theorem id {', '.join(map(repr, bad))} (known ids: {', '.join(known)})")
+    universe = theorems.Universe(args.universe or ())
     # A fork pool starts all its workers at the first submit, so start no more than there are jobs.
     workers = min(args.workers, len(ids))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = theorems.prepare(universe, ids, args.max_n, pool, workers)  # builds the universe first
             # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.

@@ -15,6 +15,12 @@ the states multiply and the labelling is slow (ROADMAP.md lists automorphism
 pruning as the open fix).  It is the costlier of the two steps and runs once
 per class, not per candidate.  Both steps work on slices of an
 order, so a process pool can share it out.
+
+``canonical_key``, ``canonical_graph`` and ``are_isomorphic`` run the same
+labelling, whose cost grows with a graph's automorphisms as well as its
+order (the complete binary tree of order 15 takes seconds, of order 31 it
+does not finish).  They refuse a graph of order above ``MAX_TREE_ORDER``
+(12), the largest order the tree enumeration labels, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -398,14 +404,20 @@ def _relabel(adj: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _canon_capped(g: Graph) -> tuple[int, ...]:
+    if g.n > MAX_TREE_ORDER:
+        raise ValueError(f"canonical labelling is capped at order {MAX_TREE_ORDER}, got order {g.n}")
+    return _canon(g.adj)
+
+
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Isomorphism-invariant key: two graphs share it iff they are isomorphic."""
-    return (g.n,) + _canon(g.adj)
+    return (g.n,) + _canon_capped(g)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabel ``g`` into its canonical form."""
-    return _from_key(_canon(g.adj), g.n)
+    return _from_key(_canon_capped(g), g.n)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

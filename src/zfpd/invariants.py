@@ -41,9 +41,8 @@ refused rather than swept.  A refusal is a ``ValueError`` whose message
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .graph import Graph, bits, is_path, is_tree
 from .propagation import ForceLog, _spread, closure, closure_with_log
@@ -69,8 +68,7 @@ Witness = Union[int, tuple[tuple[int, ...], ...]]
 W = TypeVar("W")
 
 
-@dataclass(frozen=True)
-class ParamResult:
+class ParamResult(NamedTuple):
     """A parameter value plus the witness that attains it.
 
     ``witness`` is a vertex mask for the set-valued parameters and a tuple

@@ -9,7 +9,7 @@ step the lowest-index black vertex able to force performs its force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, is_path
 
@@ -61,8 +61,7 @@ def _spread(adj: list[int], black: int, near: int) -> int:
     return black
 
 
-@dataclass(frozen=True)
-class ForceLog:
+class ForceLog(NamedTuple):
     """Chronological list of forces plus the derived forcing chains.
 
     ``forces`` records ``(forcer, forced)`` pairs in the order applied.

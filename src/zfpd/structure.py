@@ -14,7 +14,7 @@ vertices of degree at most 2, as in Mitchell's linear-time reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, induces_connected
 from .families import _iso_key, canonical_key, complete, complete_multipartite
@@ -30,8 +30,7 @@ _REJECTED: set[tuple] = set()
 _K5, _K33 = ((p, canonical_key(p)) for p in (complete(5), complete_multipartite((3, 3))))
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """Branch sets proving a minor: entry ``i`` is the host mask standing for
     pattern vertex ``i``."""
 

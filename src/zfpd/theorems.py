@@ -24,8 +24,7 @@ from __future__ import annotations
 import copy
 import os
 import time
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, bits, is_path, is_tree
 from .families import (
@@ -67,24 +66,23 @@ if TYPE_CHECKING:
 __all__ = ["Failure", "VerifyReport", "Universe", "verify", "prepare", "theorem_ids", "claim_of"]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     graph6: str
     expected: str
     observed: str
 
 
-@dataclass
 class VerifyReport:
     """One verifier's outcome; the verifier fills it in as it sweeps."""
 
-    theorem: str
-    claim: str
-    universe: str = ""
-    checked: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
+    def __init__(self, theorem: str, claim: str) -> None:
+        self.theorem = theorem
+        self.claim = claim
+        self.universe = ""
+        self.checked = 0
+        self.failures: list[Failure] = []
+        self.notes: list[str] = []
+        self.elapsed_s = 0.0
 
     @property
     def passed(self) -> bool:
@@ -100,7 +98,13 @@ class VerifyReport:
         self.notes.append(text)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3), "passed": self.passed}
+        return {
+            **vars(self),
+            "failures": [f._asdict() for f in self.failures],
+            "notes": list(self.notes),
+            "elapsed_s": round(self.elapsed_s, 3),
+            "passed": self.passed,
+        }
 
 
 class Universe:

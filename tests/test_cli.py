@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 from zfpd.cli import main
 from zfpd.families import are_isomorphic, enumerate_connected, parse_graph6, path, star, wheel, write_graph6
@@ -330,9 +333,8 @@ def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
 
 
 def test_verify_starts_at_most_one_worker_per_verifier(capsys, monkeypatch):
+    import concurrent.futures
     from concurrent.futures import Future
-
-    import zfpd.cli as cli
 
     sizes = []
 
@@ -353,7 +355,8 @@ def test_verify_starts_at_most_one_worker_per_verifier(capsys, monkeypatch):
             done.set_result(fn(*args, **kwargs))
             return done
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # `verify` imports the pool class from concurrent.futures only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     args = ("verify", "--max-n", "4", "--workers", "64", "--format", "json")
     code, out, _ = run(capsys, *args, "--ids", "T1,T14")
     assert code == 0 and sizes == [2]
@@ -390,7 +393,6 @@ def test_runtime_loads_only_standard_library_modules(tmp_path):
 
 def test_every_exported_name_resolves():
     # A stale __all__ entry breaks only `from zfpd.<module> import *`, which nothing else runs.
-    import ast
     import importlib
     import pkgutil
 
@@ -399,12 +401,45 @@ def test_every_exported_name_resolves():
     for info in pkgutil.iter_modules(zfpd.__path__):
         if info.name != "__main__":
             exec(f"from zfpd.{info.name} import *", {})
-    tree = ast.parse(pathlib.Path(zfpd.__file__).read_text())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            source = importlib.import_module(f"zfpd.{node.module}")
-            for alias in node.names:
-                assert getattr(zfpd, alias.asname or alias.name) is getattr(source, alias.name)
+    # The package exports lazily, from one name -> module table.
+    assert zfpd.__all__ == list(zfpd._EXPORTS)
+    listed = dir(zfpd)
+    for name, module in zfpd._EXPORTS.items():
+        assert name in listed
+        assert getattr(zfpd, name) is getattr(importlib.import_module(f"zfpd.{module}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(zfpd, "no_such_name")
+
+
+def _modules_loaded(code: str, *argv: str) -> set[str]:
+    """Modules a fresh interpreter, given ``argv``, loads while running ``code``, beyond those loaded at start."""
+    import zfpd
+
+    script = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))\n"
+    src = str(pathlib.Path(zfpd.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}, cwd=DATA,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))  # after the command's own output
+
+
+def test_each_command_loads_only_what_it_runs():
+    # no timing gate: this pins which modules start-up compiles, not how long it takes
+    loaded = _modules_loaded("import zfpd")
+    assert "zfpd" in loaded and not {m for m in loaded if m.startswith("zfpd.")}
+    run_cli = "import zfpd.cli\nassert zfpd.cli.main(sys.argv[1:]) == 0"
+    loaded = _modules_loaded(
+        run_cli, "compute", "--input", "compute_input.g6", "--params", "zf,pd,dom,tdom,pathcover,spider",
+        "--format", "json",
+    )
+    assert "zfpd.invariants" in loaded
+    never = {"zfpd.theorems", "zfpd.structure", "zfpd.products", "dataclasses", "multiprocessing",
+             "concurrent.futures.process"}
+    assert not loaded & never
+    loaded = _modules_loaded(run_cli, "verify", "--ids", "T1,T14", "--max-n", "4", "--workers", "1", "--format", "json")
+    assert "zfpd.theorems" in loaded and "multiprocessing" not in loaded
 
 
 def test_python_dash_m_zfpd_runs_the_cli():
@@ -422,7 +457,6 @@ def test_python_dash_m_zfpd_runs_the_cli():
 def test_tracer_bindings_exist():
     # perfbench/tracer.py rebinds these names for `--trace 1`; an API change
     # that drops one would break the traced benchmark runs.
-    import ast
     import importlib
 
     source = (pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py").read_text()

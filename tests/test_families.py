@@ -301,6 +301,15 @@ def test_iso_key_is_relabeling_invariant():
         assert _iso_key(g.adj) == _iso_key(_relabeled(g, rng).adj)
 
 
+def test_canonical_labelling_refuses_orders_above_its_cap():
+    binary_tree = Graph(15, [((v - 1) // 2, v) for v in range(1, 15)])  # seconds to label without the cap
+    for label in (canonical_key, canonical_graph, lambda g: are_isomorphic(g, g)):
+        with pytest.raises(ValueError, match=f"capped at order {MAX_TREE_ORDER}, got order 15"):
+            label(binary_tree)
+    assert canonical_key(path(MAX_TREE_ORDER))[0] == MAX_TREE_ORDER
+    assert are_isomorphic(path(MAX_TREE_ORDER), canonical_graph(path(MAX_TREE_ORDER)))
+
+
 def test_are_isomorphic_examples():
     assert are_isomorphic(path(4).complement(), path(4))
     assert are_isomorphic(cycle(5).complement(), cycle(5))

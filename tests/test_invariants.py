@@ -218,6 +218,13 @@ def test_witnesses_pass_their_predicates():
         assert g.open_neighborhood(tres.witness) == g.full_mask
 
 
+def test_param_results_are_immutable():
+    res = zero_forcing_number(cycle(5))
+    for field in ("value", "witness", "certificate"):
+        with pytest.raises(AttributeError):
+            setattr(res, field, None)
+
+
 def test_witness_is_smallest_mask_of_minimum_size():
     for g in [cycle(5), wheel(5), star(5), complete(4), h_graph()]:
         res = zero_forcing_number(g)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from zfpd.families import (
     wheel,
 )
 from zfpd.propagation import (
+    ForceLog,
     _spread,
     closure,
     closure_with_log,
@@ -71,6 +73,21 @@ def test_log_cycle5_canonical_schedule():
     assert log.chains == ((0, 4), (1, 2, 3))
     assert log.terminals == mask_of([4, 3])
     log.validate(cycle(5))
+
+
+def test_force_log_is_immutable_and_rejects_a_corrupted_certificate():
+    g = cycle(5)
+    _, log = closure_with_log(g, mask_of([0, 1]))
+    assert pickle.loads(pickle.dumps(log)) == log
+    with pytest.raises(AttributeError):
+        log.forces = ()
+    for bad in (
+        ForceLog(log.initial, log.forces[::-1], log.chains, log.terminals),  # a forcer not yet black
+        ForceLog(log.initial, log.forces, log.chains[:1], log.terminals),  # chains miss part of the closure
+        ForceLog(log.initial, log.forces, log.chains, log.terminals | 1),  # terminals off the chain ends
+    ):
+        with pytest.raises(ValueError):
+            bad.validate(g)
 
 
 def test_closure_with_log_agrees_with_closure():

@@ -18,7 +18,7 @@ from zfpd.families import (
     wheel,
 )
 from zfpd.products import cartesian_product
-from zfpd.structure import has_minor, is_outerplanar, is_planar
+from zfpd.structure import MinorWitness, has_minor, is_outerplanar, is_planar
 
 from oracles import brute_minor, random_graph
 
@@ -43,6 +43,22 @@ def test_has_minor_basic_examples():
     w = has_minor(w5, k4)
     assert w is not None
     w.validate(w5, k4)
+
+
+def test_minor_witness_is_immutable_and_rejects_a_corrupted_model():
+    k4, w5 = complete(4), wheel(5)
+    w = has_minor(w5, k4)
+    with pytest.raises(AttributeError):
+        w.branch_sets = ()
+    sets = w.branch_sets
+    for bad in (
+        sets[:-1],  # a pattern vertex without a branch set
+        (0,) + sets[1:],  # an empty branch set
+        (sets[0] | sets[1],) + sets[1:],  # overlapping branch sets
+        sets[:-1] + (1 << w5.n,),  # a branch set outside the host
+    ):
+        with pytest.raises(ValueError):
+            MinorWitness(bad).validate(w5, k4)
 
 
 def test_minor_monotone_under_subpatterns():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
@@ -5,7 +7,17 @@ from zfpd.graph import Graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
 from zfpd.products import cartesian_product
-from zfpd.theorems import _REGISTRY, Universe, _pd_at_most, _recheck_power_domination, claim_of, prepare, theorem_ids, verify
+from zfpd.theorems import (
+    _REGISTRY,
+    Universe,
+    VerifyReport,
+    _pd_at_most,
+    _recheck_power_domination,
+    claim_of,
+    prepare,
+    theorem_ids,
+    verify,
+)
 
 H_GRAPH_G6 = write_graph6(canonical_graph(h_graph()))
 
@@ -232,6 +244,24 @@ def test_reports_are_deterministic():
     a.pop("elapsed_s")
     b.pop("elapsed_s")
     assert a == b
+
+
+def test_report_pickles_and_keeps_its_json_keys():
+    # pool workers send their reports back pickled
+    report = VerifyReport("T8", claim_of("T8"))
+    report.universe = "connected graphs, orders 1..4"
+    report.count()
+    report.count()
+    report.fail(path(3), "Z = 1", "Z = 2")
+    report.note("no witness up to n=4")
+    report.elapsed_s = 0.25
+    d = report.to_dict()
+    assert pickle.loads(pickle.dumps(report)).to_dict() == d
+    assert sorted(d) == ["checked", "claim", "elapsed_s", "failures", "notes", "passed", "theorem", "universe"]
+    assert d["failures"] == [{"graph6": write_graph6(path(3)), "expected": "Z = 1", "observed": "Z = 2"}]
+    assert (d["checked"], d["notes"], d["passed"]) == (2, ["no witness up to n=4"], False)
+    with pytest.raises(AttributeError):
+        report.failures[0].observed = "Z = 1"
 
 
 def test_universe_files_override_orders(tmp_path):
