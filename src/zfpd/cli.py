@@ -149,6 +149,8 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
     from .products import amalgamate, cartesian_product, lexicographic_product
 
+    if args.at is not None and args.kind != "amalgam":
+        raise ValueError(f"kind {args.kind!r} takes no --at")
     ga = _read_graphs(args.left, args.edgelist)
     gb = _read_graphs(args.right, args.edgelist)
     if not ga or not gb:
@@ -159,7 +161,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[str, int]:
     elif args.kind == "lex":
         result = lexicographic_product(a, b)
     else:
-        gv, hv = _ints("--at", args.at, 2)
+        gv, hv = _ints("--at", args.at, 2) if args.at is not None else (0, 0)
         result = amalgamate(a, gv, b, hv)
     return write_graph6(result) + "\n", 0
 
@@ -239,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["cartesian", "lex", "amalgam"], required=True)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--at", default="0,0", help="gv,hv vertices to glue (amalgam)")
+    p.add_argument("--at", default=None, help="gv,hv vertices to glue (amalgam only; default 0,0)")
     p.add_argument("--edgelist", action="store_true")
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(fn=_cmd_product)

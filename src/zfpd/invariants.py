@@ -3,14 +3,19 @@
 Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
 always the smallest-bitmask minimum set.  The four set-valued solvers share
-one ascending size loop, ``_minimum``, and one ``k``-subset search,
-``_first_subset``, which carries the union of the chosen vertices' rows down
-its recursion.  The zero forcing search carries the closure of that union
-instead, so a complete subset only spreads it from one more vertex; the
-power domination search takes one ``closure`` per complete subset, because
-its sweeps usually hit early and closures carried down the levels would be
-wasted.  The shortcuts never change the answer: no set smaller than the
-minimum degree forces, a partial choice that already forces makes every
+one ascending size loop, ``_minimum``.  The domination searches and power
+domination share one ``k``-subset search, ``_first_subset``, which carries
+the union of the chosen vertices' rows down its recursion; power
+domination takes one ``closure`` per complete subset, because its sweeps
+usually hit early.  Zero forcing, whose sweeps mostly refute, has its own
+search in the same order, which carries the closure of the chosen vertices
+and uses that a closed set other than every vertex leaves a fort white
+(Brimkov, Fast and Hicks, EJOR 2019): a level with two or more vertices
+left skips every top vertex ``t`` while the closure of the chosen vertices
+and ``0..t`` is not every vertex, and at the last vertex a failed closure
+drops every candidate inside it.  The shortcuts never change the answer,
+since each skips only subsets that fail: no set smaller than the minimum
+degree forces, a partial choice that already forces makes every
 completion force, a total dominating set never has fewer than two
 vertices, and the domination searches skip a branch whose union cannot
 cover every vertex even with all the rows still available to it.  The
@@ -88,39 +93,25 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("disconnected graph")
 
 
-def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -> Optional[int]:
+def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: str) -> Optional[int]:
     """Smallest ``k``-subset mask whose union of ``rows`` covers ``g``, if any.
 
     The top vertex ``t`` runs upward and the rest are chosen below ``t`` the
     same way, which is ascending numeric order, so the first hit is the
-    smallest such mask.  Each level ORs in one row.  ``rule`` says what
-    covering means:
-
-    - ``"cover"``: the union is every vertex.  A branch whose union cannot
-      reach every vertex even with all rows below ``t`` is skipped; no subset
-      in it covers, so the hit is the same.
-    - ``"force"``: the closure of the union is every vertex, computed once
-      per complete subset.
-    - ``"carry"``: the same test, but each level keeps the closure of its
-      union and spreads it with ``_spread``, since closure(closure(S) | R)
-      = closure(S | R).  Only the new vertex and its neighbors can start a
-      force, so the spread checks just them first.  When a level's closure
-      is already every vertex, every completion forces too (closure is
-      monotone), so the hit is the smallest completion: the rest are the
-      lowest vertices.
+    smallest such mask.  Each level ORs in one row.  Without ``forcing`` the
+    union must be every vertex, and a branch whose union cannot reach every
+    vertex even with all rows below ``t`` is skipped; no subset in it
+    covers, so the hit is the same.  With ``forcing`` the closure of the
+    union must be every vertex, computed once per complete subset.
     """
-    assert rule in ("cover", "force", "carry"), rule
     n = g.n
     if k < 0 or k > n:
         return None
     if comb(n, k) > _SUBSET_CAP:
         raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask
-    adj = g.adj
-    force = rule == "force"
-    carry = rule == "carry"
     below = [0] * n
-    if rule == "cover":
+    if not forcing:
         for t in range(1, n):
             below[t] = below[t - 1] | rows[t - 1]
 
@@ -129,21 +120,14 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, rule: str, what: str) -
         if j == 1:
             for t in range(hi):
                 u = union | rows[t]
-                if force:
+                if forcing:
                     u = closure(g, u)
-                elif carry and u != union:
-                    u = _spread(adj, u, rows[t] | adj[t])
                 if u == full:
                     return chosen | 1 << t
             return None
         for t in range(j - 1, hi):
             u = union | rows[t]
-            if carry:
-                if u != union:
-                    u = _spread(adj, u, rows[t] | adj[t])
-                if u == full:
-                    return chosen | 1 << t | (1 << (j - 1)) - 1
-            elif not force and u | below[t] != full:
+            if not forcing and u | below[t] != full:
                 continue
             hit = search(j - 1, t, u, chosen | 1 << t)
             if hit is not None:
@@ -160,10 +144,67 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
 
     Below the minimum degree there is none, and no search runs: each chosen
     vertex keeps at least two unchosen neighbors, so nothing can force.
+
+    The search runs in the order of ``_first_subset``, but each level
+    carries the closure of the vertices chosen so far, ``union``, and spreads
+    it from one more vertex, since closure(closure(S) | R) = closure(S | R)
+    and only the new vertex and its neighbors can start a force.  Closure is
+    monotone, so these shortcuts keep the first hit:
+
+    - a level whose closure is every vertex returns its smallest
+      completion, the lowest vertices, since every completion forces;
+    - with ``j >= 2`` vertices left, every completion under top vertex ``t``
+      lies in the chosen vertices and ``0..t``, so the level grows the
+      closure of ``union | 0..t`` one vertex at a time and starts its top
+      vertex at the first ``t`` where that is every vertex, if any: below
+      it no completion forces;
+    - at the last vertex, a candidate whose closure ``u`` is not every
+      vertex drops every vertex of ``u`` from the candidates: ``u`` is
+      closed, so for ``t`` in ``u`` the closure of ``union | t`` stays in
+      ``u``.
     """
-    if g.n and k < g.degree_stats()[0]:
+    n = g.n
+    if n and k < g.degree_stats()[0] or k < 0 or k > n:
         return None
-    return _first_subset(g, [1 << v for v in range(g.n)], k, "carry", "zero forcing")
+    if comb(n, k) > _SUBSET_CAP:
+        raise ValueError(f"zero forcing search is capped at {_SUBSET_CAP} subsets of one size")
+    full = g.full_mask
+    adj = g.adj
+
+    def search(j: int, hi: int, union: int, chosen: int) -> Optional[int]:
+        # Choose the ``j`` remaining vertices from ``range(hi)``; ``union`` is
+        # the closure of ``chosen`` and not every vertex.
+        if j == 1:
+            left = (1 << hi) - 1 & ~union
+            while left:
+                low = left & -left
+                u = _spread(adj, union | low, low | adj[low.bit_length() - 1])
+                if u == full:
+                    return chosen | low
+                left &= ~u
+            return None
+        x = union
+        for first in range(hi):
+            if not x >> first & 1:
+                x = _spread(adj, x | 1 << first, 1 << first | adj[first])
+                if x == full:
+                    break
+        else:
+            return None
+        for t in range(max(j - 1, first), hi):
+            u = union | 1 << t
+            if u != union:
+                u = _spread(adj, u, 1 << t | adj[t])
+            if u == full:
+                return chosen | 1 << t | (1 << (j - 1)) - 1
+            hit = search(j - 1, t, u, chosen | 1 << t)
+            if hit is not None:
+                return hit
+        return None
+
+    if k == 0:
+        return 0 if full == 0 else None
+    return search(k, n, 0, 0)
 
 
 def _closed_rows(g: Graph) -> list[int]:
@@ -172,7 +213,7 @@ def _closed_rows(g: Graph) -> list[int]:
 
 def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     """Smallest-bitmask power dominating set of size exactly ``k``, if one exists."""
-    return _first_subset(g, _closed_rows(g), k, "force", "power domination")
+    return _first_subset(g, _closed_rows(g), k, True, "power domination")
 
 
 def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int) -> tuple[int, W]:
@@ -205,7 +246,7 @@ def power_domination_number(g: Graph) -> ParamResult:
 def domination_number(g: Graph) -> ParamResult:
     """Minimum size of a dominating set."""
     rows = _closed_rows(g)
-    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, "cover", "domination"), 1)
+    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1)
     return ParamResult(k, m)
 
 
@@ -214,7 +255,7 @@ def total_domination_number(g: Graph) -> ParamResult:
     if g.n == 1:
         raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
-    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, "cover", "total domination"), 2)
+    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2)
     return ParamResult(k, m)
 
 

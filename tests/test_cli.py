@@ -188,6 +188,18 @@ def test_product_amalgam(capsys, tmp_path):
     code, out, _ = run(capsys, "product", "--kind", "amalgam", str(a), str(a), "--at", "1,0")
     assert code == 0
     assert are_isomorphic(parse_graph6(out.strip()), path(3))
+    # Without --at the amalgam glues vertex 0 of each side.
+    code, out, _ = run(capsys, "product", "--kind", "amalgam", str(a), str(a))
+    assert code == 0
+    assert are_isomorphic(parse_graph6(out.strip()), path(3))
+
+
+def test_product_refuses_at_for_a_kind_without_glue(capsys, tmp_path):
+    a = tmp_path / "p2.g6"
+    a.write_text("A_\n", encoding="ascii")
+    for kind in ("cartesian", "lex"):
+        code, out, err = run(capsys, "product", "--kind", kind, str(a), str(a), "--at", "0,0")
+        assert (code, out, err) == (2, "", f"error: kind {kind!r} takes no --at\n")
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -292,6 +292,33 @@ def test_forcing_sweeps_match_first_hit_for_every_size():
             assert find_power_dominating_set(g, k) == pd, (g, k)
 
 
+def _sparse_connected_graph(rng, n):
+    # A random spanning tree plus n/4..n/2 extra edges, like the graphs of the
+    # benchmark's ``compute`` input, where the zero forcing sweep mostly refutes.
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    target = n - 1 + rng.randint(n // 4, n // 2)
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_zero_forcing_sweep_matches_first_hit_on_sparse_graphs():
+    # Here both pruning rules of the sweep fire often: no top vertex below the
+    # first t whose prefix 0..t closes the graph, and no last vertex inside a
+    # failed closure.  Every k up to Z + 1 must still give the first hit.
+    rng = random.Random(71)
+    for n in range(12, 17):
+        for _ in range(2):
+            g = _sparse_connected_graph(rng, n)
+            z = zero_forcing_number(g).value
+            for k in range(z + 2):
+                first = next((m for m in k_subsets(g.n, k) if is_zero_forcing_set(g, m)), None)
+                assert find_zero_forcing_set(g, k) == first, (g, k)
+                assert (first is None) == (k < z), (g, k)
+
+
 def test_zero_forcing_sweep_rechecks_neighbours_of_forced_vertices():
     # From {0, 2}, 0 forces 4, and only then can 2 (a neighbour of 4, not its
     # forcer) force 3; a sweep that skips such vertices finds no set of size 2.

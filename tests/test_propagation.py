@@ -145,6 +145,20 @@ def test_spread_matches_closure_from_a_closed_set():
         assert _spread(g.adj, black, g.closed_neighborhood(extra & ~closed)) == expect
 
 
+def test_closure_from_a_closed_set_stays_inside_any_closure_holding_the_new_vertex():
+    # If u = cl(C + t) for a closed set C, then cl(C + t') lies in u for every
+    # t' in u, because C + t' is inside the closed set u.  The zero forcing
+    # sweep drops every last-vertex candidate inside a failed closure on this.
+    rng = random.Random(73)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.random() * rng.choice((0.3, 0.6)))
+        closed = closure_sets(g, [v for v in range(g.n) if rng.random() < 0.3])
+        for t in range(g.n):
+            u = closure_sets(g, closed | {t})
+            for t2 in u:
+                assert closure_sets(g, closed | {t2}) <= u, (g, sorted(closed), t, t2)
+
+
 def test_zero_forcing_set_examples():
     assert is_zero_forcing_set(path(5), mask_of([0]))
     assert not is_zero_forcing_set(cycle(5), mask_of([0]))
