@@ -11,6 +11,9 @@ verifiers raise ``ValueError`` or ``IndexError`` with their own message.
 reaches ``main``, the one place that reports one, as ``error: <message>``
 on stderr with exit status 2.  Each subcommand returns its output text, and
 ``main`` writes it to stdout or ``--out`` only once the work has succeeded.
+``verify`` has ``theorems`` refuse a run (an unknown id, a bad ``--max-n``,
+an order no file covers) before any universe is built or any verifier runs,
+at every worker count.
 
 Each subcommand imports what only it needs when it runs: ``compute`` and
 ``gen`` never load the claim checkers (``theorems``, ``structure``) or the
@@ -181,12 +184,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("no theorem ids given")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    known = theorems.theorem_ids()
-    ids = known if wanted == ["all"] else list(dict.fromkeys(wanted))
-    bad = [t for t in ids if t not in known]
-    if bad:
-        raise ValueError(f"unknown theorem id {', '.join(map(repr, bad))} (known ids: {', '.join(known)})")
+    ids = theorems.theorem_ids() if wanted == ["all"] else list(dict.fromkeys(wanted))
     universe = theorems.Universe(args.universe or ())
+    for tid in ids:  # every refusal comes before any build, serial or pooled
+        theorems._cap(tid, args.max_n, universe)
     # A fork pool starts all its workers at the first submit, so start no more than there are jobs.
     workers = min(args.workers, len(ids))
     if workers > 1:
@@ -198,6 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=u) for t, u in zip(ids, parts)]
             reports = [f.result() for f in futures]
     else:
+        # Each order is built inside the first verifier that reads it, so its time stays in that report.
         reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
     status = 0 if all(r.passed for r in reports) else 1
     if _pick_format(args.format) == "json":

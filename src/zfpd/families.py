@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, bits, check_order
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -178,11 +178,11 @@ _FAMILIES: dict[str, tuple[Callable[..., Graph], str | None]] = {
 }
 FAMILY_NAMES = tuple(_FAMILIES)
 
-# option -> (refusal when a family needs it but it is missing, what it gives)
-_OPTIONS = {
-    "n": ("family {!r} needs an order", "order"),
-    "parts": ("{} needs part sizes", "part sizes"),
-    "legs": ("{} needs leg lengths", "leg lengths"),
+# option -> (the noun a refusal names it by, the order its value asks for)
+_OPTIONS: dict[str, tuple[str, Callable[..., int]]] = {
+    "n": ("order", lambda n: n),
+    "parts": ("part sizes", sum),
+    "legs": ("leg lengths", lambda legs: 1 + sum(legs)),
 }
 
 
@@ -196,7 +196,8 @@ def generate(
     """Build a named family member; the single dispatch point used by the CLI.
 
     A family takes at most one of ``n``, ``parts`` and ``legs``.  Leaving out
-    the one it takes, or giving one it does not take, is refused.
+    the one it takes, or giving one it does not take, is refused, and so is
+    an order above ``graph.MAX_ORDER``.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILY_NAMES)})")
@@ -204,11 +205,13 @@ def generate(
     given = {"n": n, "parts": parts, "legs": legs}
     for option, value in given.items():
         if value is not None and option != takes:
-            raise ValueError(f"family {family!r} takes no {_OPTIONS[option][1]}")
+            raise ValueError(f"family {family!r} takes no {_OPTIONS[option][0]}")
     if takes is None:
         return build()
+    noun, order_of = _OPTIONS[takes]
     if given[takes] is None:
-        raise ValueError(_OPTIONS[takes][0].format(family))
+        raise ValueError(f"family {family!r} needs {'an ' if takes == 'n' else ''}{noun}")
+    check_order(order_of(given[takes]), f"family {family!r}")
     return build(given[takes])
 
 
@@ -320,7 +323,9 @@ def parse_edge_list(lines: Iterable[str]) -> Graph | None:
     """Parse the text edge-list format: one ``u v`` pair per line, 0-based.
 
     Blank lines and ``#`` comments are skipped; the order is one past the
-    largest label seen.  Returns ``None`` for input with no edges.
+    largest label seen, and a label that would take it above
+    ``graph.MAX_ORDER`` is refused with its line.  Returns ``None`` for input
+    with no edges.
     """
     edges = []
     top = -1
@@ -339,6 +344,7 @@ def parse_edge_list(lines: Iterable[str]) -> Graph | None:
             raise ValueError(f"line {lineno}: vertex labels must be nonnegative")
         if u == v:
             raise ValueError(f"line {lineno}: loops are not allowed")
+        check_order(max(u, v) + 1, f"line {lineno}: vertex label {max(u, v)}")
         edges.append((u, v))
         top = max(top, u, v)
     if top < 0:

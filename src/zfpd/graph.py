@@ -6,6 +6,14 @@ hash and compare.  Graphs never change after construction, so they can be
 shared freely across threads and used as dictionary keys.  Connectivity,
 distances and eccentricities all come from one breadth-first search,
 ``Graph._layers``.
+
+``MAX_ORDER`` (4096) caps the order that input from outside the program may
+ask for: an edge-list label, a size given to ``families.generate`` and the
+result of a product.  ``check_order`` refuses a larger one with
+``ValueError`` before any row is built; writing a graph of order 4096 as
+graph6 already takes about a second, and the cost grows with the square of
+the order.  graph6 input needs no check, because its length grows with the
+square of the order it declares.
 """
 
 from __future__ import annotations
@@ -21,7 +29,17 @@ __all__ = [
     "is_path",
     "is_tree",
     "induces_connected",
+    "MAX_ORDER",
+    "check_order",
 ]
+
+MAX_ORDER = 4096
+
+
+def check_order(order: int, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` if ``order`` exceeds ``MAX_ORDER``."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{what} asks for order {order}, above the cap of {MAX_ORDER}")
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -4,11 +4,12 @@ and vertex amalgamation.
 Product vertices are laid out row-major: the pair ``(gv, hv)`` of factor
 vertices lands at index ``gv * h.n + hv``, so fibre ``gv`` is the slot of
 ``h.n`` bits that starts at bit ``gv * h.n`` of each adjacency row.
+A result above ``graph.MAX_ORDER`` is refused before its rows are built.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, check_order
 
 __all__ = ["cartesian_product", "lexicographic_product", "amalgamate"]
 
@@ -16,6 +17,7 @@ __all__ = ["cartesian_product", "lexicographic_product", "amalgamate"]
 def _check_operands(g: Graph, h: Graph) -> None:
     if g.n == 0 or h.n == 0:
         raise ValueError("product operands must be nonempty")
+    check_order(g.n * h.n, f"a product of orders {g.n} and {h.n}")
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -50,6 +52,7 @@ def amalgamate(g: Graph, gv: int, h: Graph, hv: int) -> Graph:
         raise IndexError(f"vertex {gv} out of range for the left operand")
     if not 0 <= hv < h.n:
         raise IndexError(f"vertex {hv} out of range for the right operand")
+    check_order(g.n + h.n - 1, f"an amalgam of orders {g.n} and {h.n}")
     keep = [w for w in range(h.n) if w != hv]
     relabel = {w: g.n + i for i, w in enumerate(keep)}
     relabel[hv] = gv

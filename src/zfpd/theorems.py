@@ -17,6 +17,12 @@ a report's ``elapsed_s`` excludes file parsing and includes enumeration.
 them starts, sharded over a process pool; their ``elapsed_s`` then excludes
 it too.  A ``Universe`` pickles, so pool workers can be sent it.
 ``universe=None`` means the built-in enumeration alone.
+
+Each rule of a run lives in one place.  ``_cap`` alone refuses an unknown
+id, a bad ``max_n`` and an order above a hard cap that no file covers, and
+it needs nothing built, so the CLI calls it for every id before any work.
+A file covers an order only for the kinds of graph it holds there, which
+``Universe`` records once, when it reads the files.
 """
 
 from __future__ import annotations
@@ -73,7 +79,11 @@ class Failure(NamedTuple):
 
 
 class VerifyReport:
-    """One verifier's outcome; the verifier fills it in as it sweeps."""
+    """One verifier's outcome; the verifier fills it in as it sweeps.
+
+    A verifier adds to ``checked`` and ``notes`` directly and records a
+    counterexample through ``fail``, which stores the graph as graph6.
+    """
 
     def __init__(self, theorem: str, claim: str) -> None:
         self.theorem = theorem
@@ -88,14 +98,8 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def count(self) -> None:
-        self.checked += 1
-
     def fail(self, g: Graph, expected: str, observed: str) -> None:
         self.failures.append(Failure(write_graph6(g), expected, observed))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
 
     def to_dict(self) -> dict:
         return {
@@ -110,32 +114,38 @@ class VerifyReport:
 class Universe:
     """Graph supply for the verifiers: built-in enumeration plus optional files.
 
-    A graph6 file (one encoding per line, ``#`` comments allowed) overrides
-    the built-in enumeration for every order it contains, which is how orders
-    beyond the built-in cap reach the harness.  Files are parsed and filtered
-    here, once: graphs that are not connected, the order-0 graph among them,
-    are dropped, and so is a repeat of a graph already read, from the same
-    file or another; isomorphic relabelings are kept.  A built-in order is
-    enumerated on first use, or before it by ``build``.  ``connected`` and
-    ``trees`` return the same tuple on every call.  ``between(lo, hi)``
-    yields the connected graphs of orders ``lo`` to ``hi``, asking
-    ``connected`` for one order at a time.
+    A graph6 file (one encoding per line, ``#`` comments allowed) supplies
+    the graphs of each kind it holds: its connected graphs replace the
+    built-in connected graphs of their order, and its trees replace the
+    built-in trees of theirs, which is how orders beyond the built-in cap
+    reach the harness.  An order a file holds no graph of that kind for,
+    such as order 13 for the trees when the file holds only the 13-cycle,
+    still comes from the built-in enumeration.  Files are parsed and
+    filtered here, once: graphs that are not connected, the order-0 graph
+    among them, are dropped, and so is a repeat of a graph already read,
+    from the same file or another; isomorphic relabelings are kept.  A
+    built-in order is enumerated on first use, or before it by ``build``.
+    ``connected`` and ``trees`` return the same tuple on every call.
+    ``between(lo, hi)`` yields the connected graphs of orders ``lo`` to
+    ``hi``, asking ``connected`` for one order at a time.
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
-        by_order: dict[int, dict[Graph, None]] = {}
-        self._names: dict[int, dict[str, None]] = {}
+        held: dict[str, dict[int, dict[Graph, None]]] = {"connected": {}, "trees": {}}
+        # kind -> the orders files supply for it -> their file names; read by
+        # part, source and has_file_for, and fixed once the files are read
+        self._names: dict[str, dict[int, dict[str, None]]] = {"connected": {}, "trees": {}}
         for fname in files:
             # latin-1 decodes every byte, so a stray one is reported with its line.
             with open(fname, encoding="latin-1") as fh:
                 graphs = read_graph6_lines(fh)
             base = os.path.basename(fname)
             for g in graphs:
-                by_order.setdefault(g.n, {})[g] = None  # a repeated graph is kept once
-                self._names.setdefault(g.n, {})[base] = None  # insertion-ordered set
-        connected = {n: tuple(g for g in gs if n and g.is_connected()) for n, gs in by_order.items()}
-        trees = {n: tuple(g for g in gs if is_tree(g)) for n, gs in connected.items()}
-        self._orders = {"connected": connected, "trees": trees}
+                if g.n and g.is_connected():  # is_connected refuses the order-0 graph
+                    for kind in ("connected", "trees") if is_tree(g) else ("connected",):
+                        held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
+                        self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
+        self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
 
     def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
         """Build the ``kind`` orders ``1..top`` not yet held.
@@ -157,7 +167,7 @@ class Universe:
         """
         view = copy.copy(self)
         view._orders = {
-            name: {n: gs for n, gs in held.items() if name == kind and (n <= top or n in self._names)}
+            name: {n: gs for n, gs in held.items() if name == kind and (n <= top or n in self._names[name])}
             for name, held in self._orders.items()
         }
         return view
@@ -179,10 +189,12 @@ class Universe:
         return held[n]
 
     def source(self, n: int) -> str:
-        return ", ".join(self._names.get(n, ["built-in"]))
+        """The files that supply the connected graphs of order ``n``, or ``built-in``."""
+        return ", ".join(self._names["connected"].get(n, ["built-in"]))
 
-    def has_file_for(self, n: int) -> bool:
-        return n in self._names
+    def has_file_for(self, kind: str, n: int) -> bool:
+        """True iff a file supplies graphs of ``kind`` ("connected" or "trees") at order ``n``."""
+        return n in self._names[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,9 @@ def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
     """The order ``tid`` sweeps up to, or the ``ValueError`` that refuses the run.
 
     Only a verifier that reads the universe can have its hard cap lifted by
-    files, and only when they cover every order above it.
+    files, and only when they hold graphs of the kind it sweeps at every
+    order above it.  It reads only the registry and the file orders, so a
+    caller can refuse a run with it before anything is built.
     """
     if tid not in _REGISTRY:
         known = ", ".join(theorem_ids())
@@ -257,7 +271,7 @@ def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
     if cap > hard_cap:
         if sweeps is None:
             raise ValueError(f"{tid} is capped at max_n={hard_cap}; it reads no universe file")
-        if not all(universe.has_file_for(n) for n in range(hard_cap + 1, cap + 1)):
+        if not all(universe.has_file_for(sweeps, n) for n in range(hard_cap + 1, cap + 1)):
             raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
     return cap
 
@@ -304,10 +318,10 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
 # verifiers
 
 
-@_verifier("T1", "zero forcing number 1 exactly for paths", 7, 8, "connected")
+@_verifier("T1", "zero forcing number 1 exactly for paths", 7, MAX_BUILTIN_ORDER, "connected")
 def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(1, cap):
-        run.count()
+        run.checked += 1
         z1 = _zf_exists(g, 1)
         pathlike = is_path(g)
         if z1 != pathlike:
@@ -319,13 +333,15 @@ def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, 8, "connected")
+@_verifier(
+    "T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, MAX_BUILTIN_ORDER, "connected"
+)
 def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)
-        run.note(f"n={n}: {len(graphs)} graphs ({u.source(n)})")
+        run.notes.append(f"n={n}: {len(graphs)} graphs ({u.source(n)})")
         for g in graphs:
-            run.count()
+            run.checked += 1
             z_is_2 = not _zf_exists(g, 1) and _zf_exists(g, 2)
             outer = is_outerplanar(g)
             rhs = outer and path_cover_number(g).value == 2
@@ -341,12 +357,12 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
 
 
 @_verifier(
-    "T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, 8, "connected"
+    "T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, MAX_BUILTIN_ORDER, "connected"
 )
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
     for g in u.between(1, cap):
-        run.count()
+        run.checked += 1
         dom1 = _gamma_is_one(g)  # same thing as a universal vertex
         lhs = g.degree_stats()[1] == g.n - 1
         pd1 = _pd_at_most(g, 1)
@@ -361,16 +377,16 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
         if g.n >= 2 and (_gp(g) == _gamma(g)) != lhs:
             weaker_bad.append(write_graph6(g))
     if weaker_bad:
-        run.note(
+        run.notes.append(
             f"weaker reading (power domination = domination iff max degree n-1) fails on "
             f"{len(weaker_bad)} graphs, e.g. {', '.join(sorted(weaker_bad)[:3])}"
         )
     else:
-        run.note("weaker reading (power domination = domination) also held")
+        run.notes.append("weaker reading (power domination = domination) also held")
     return f"connected graphs 1<=n<={cap}, both directions"
 
 
-@_verifier("T4", "smallest graphs that need two power dominators", 7, 8, "connected")
+@_verifier("T4", "smallest graphs that need two power dominators", 7, MAX_BUILTIN_ORDER, "connected")
 def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     top = min(7, cap)
     two_at_six = []
@@ -380,9 +396,9 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
         if g.n > 6 and not twin_free:
             continue
         if g.n <= 6:
-            run.count()
+            run.checked += 1
         if twin_free:
-            run.count()
+            run.checked += 1
         if _pd_at_most(g, 1):
             continue
         if g.n <= 5:
@@ -395,17 +411,17 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
                 "twin-free graphs of order <= 7 have power domination number 1",
                 "needs >= 2",
             )
-    run.note(
+    run.notes.append(
         f"order-6 graphs needing 2 power dominators: {len(two_at_six)} "
         f"({', '.join(sorted(two_at_six))})"
     )
     hg = h_graph()
-    run.count()
+    run.checked += 1
     gp_h = _gp(hg)
     if gp_h != 2:
         run.fail(hg, "H-graph power domination number 2", str(gp_h))
     wg = wagner_graph()
-    run.count()
+    run.checked += 1
     if not _twin_free(wg):
         run.fail(wg, "Wagner graph twin-free", "has twins")
     gp_w = _gp(wg)
@@ -434,7 +450,7 @@ def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
         if n >= 4:
             rows.append((f"wheel W{n}", wheel(n), 1, 1, 3))
         for label, g, exp_gp, exp_gamma, exp_z in rows:
-            run.count()
+            run.checked += 1
             gp = _gp(g)
             gamma = _gamma(g)
             z = zero_forcing_number(g).value
@@ -444,7 +460,7 @@ def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
                     f"{label}: power_domination={exp_gp}, domination={exp_gamma}, zero_forcing={exp_z}",
                     f"power_domination={gp}, domination={gamma}, zero_forcing={z}",
                 )
-    run.note(
+    run.notes.append(
         "columns read as order-n families: K(1,n-1); K(2,n-2) from n>=4; K(h,n-h) for 3<=h<=n/2"
     )
     return f"family members of order 3..{cap}"
@@ -468,7 +484,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
                 continue
             g = complete_multipartite(parts)
             r1 = parts[0]
-            run.count()
+            run.checked += 1
             exp = 1 if r1 <= 2 else 2
             gp = _gp(g)
             if gp != exp:
@@ -484,7 +500,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
                     if not ge.is_connected():
                         skipped_disconnected += 1
                         continue
-                    run.count()
+                    run.checked += 1
                     if r1 <= 2:
                         exp_e = 1
                     elif r1 == 3:
@@ -510,12 +526,12 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
                                 f"reading predicts {literal}, solver finds {gpe}"
                             )
     if skipped_disconnected:
-        run.note(
+        run.notes.append(
             f"skipped {skipped_disconnected} edge deletions that disconnect the graph "
             "(two-part graphs with a singleton part)"
         )
     if literal_conflicts:
-        run.note(
+        run.notes.append(
             "first-part reading of the size-3 case is not label-invariant; "
             + "; ".join(literal_conflicts[:4])
             + (f"; plus {len(literal_conflicts) - 4} more" if len(literal_conflicts) > 4 else "")
@@ -527,7 +543,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
 def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):
-            run.count()
+            run.checked += 1
             gp = _gp(t)
             sp = spider_number(t).value
             if gp != sp:
@@ -541,11 +557,11 @@ def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"all trees 1<=n<={cap}"
 
 
-@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, 8, "connected")
+@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, MAX_BUILTIN_ORDER, "connected")
 def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):
-        run.count()
+        run.checked += 1
         d = g.diameter()
         if d <= 2 and not _pd_at_most(g, 2) and is_planar(g):
             run.fail(
@@ -563,9 +579,9 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
             if d <= 2 and not _pd_at_most(g, 1):
                 variant_bad += 1
     if variant_bad:
-        run.note(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")
+        run.notes.append(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")
     else:
-        run.note("diameter<=2 variant of the outerplanar branch held on every graph checked")
+        run.notes.append("diameter<=2 variant of the outerplanar branch held on every graph checked")
     return f"connected graphs 1<=n<={cap}"
 
 
@@ -575,7 +591,7 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(1, cap):
-        run.count()
+        run.checked += 1
         delta = g.degree_stats()[1]
         if delta >= g.n - 2:
             if not _pd_at_most(g, 1):
@@ -594,23 +610,25 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
         if witness is None and delta == g.n - 5 and not _pd_at_most(g, 2):
             witness = g
     if witness is not None:
-        run.note(
+        run.notes.append(
             f"witness: {write_graph6(witness)} has max degree n-5 and power domination "
             f"number {_gp(witness)} (re-checked standalone)"
         )
     else:
-        run.note(f"no witness with max degree n-5 and power domination >= 3 up to n={cap}")
+        run.notes.append(f"no witness with max degree n-5 and power domination >= 3 up to n={cap}")
     return f"connected graphs 1<=n<={cap}; witness search for max degree n-5"
 
 
-@_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, 8, "connected")
+@_verifier(
+    "T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, MAX_BUILTIN_ORDER, "connected"
+)
 def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(4, cap):
         hits = [v for v in range(g.n) if g.degree(v) == g.n - 3]
         if not hits:
             continue
-        run.count()
+        run.checked += 1
         all_twins = True
         for v in hits:
             w1, w2 = bits(g.full_mask & ~g.closed_neighbors(v))
@@ -627,12 +645,12 @@ def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
         if witness is None and all_twins and _pd_at_most(g, 1):
             witness = g
     if witness is not None:
-        run.note(
+        run.notes.append(
             f"converse-failure witness: {write_graph6(witness)} has power domination "
             "number 1 although every degree n-3 vertex has a twin outside pair"
         )
     else:
-        run.note(f"no converse-failure witness up to n={cap}")
+        run.notes.append(f"no converse-failure witness up to n={cap}")
     return f"connected graphs 4<=n<={cap} having a vertex of degree n-3"
 
 
@@ -653,7 +671,7 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
             if not g.is_connected():
                 skipped += 1
                 continue
-            run.count()
+            run.checked += 1
             lhs = _pd_at_most(g, 1)
             rhs = False
             for a, b in g.edges():
@@ -669,14 +687,14 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
                     f"power_domination_1={lhs}, edge_found={rhs}",
                 )
     if skipped:
-        run.note(f"skipped {skipped} disconnected complements")
+        run.notes.append(f"skipped {skipped} disconnected complements")
     return f"(n-3)-regular connected graphs 5<=n<={cap} (cycle-union complements)"
 
 
-@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, 8, "connected")
+@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, MAX_BUILTIN_ORDER, "connected")
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(3, cap):
-        run.count()
+        run.checked += 1
         gt = total_domination_number(g).value
         c = g.complement()
         diam_c: float = c.diameter() if c.is_connected() else float("inf")
@@ -701,7 +719,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
         (path(2), wagner_graph()),
     ]
     for g, h in pairs + extras:
-        run.count()
+        run.checked += 1
         prod = lexicographic_product(g, h)
         gp_h = _gp(h)
         exp = _gamma(g) if gp_h == 1 else total_domination_number(g).value
@@ -723,7 +741,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
 def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     for m in range(1, min(5, cap) + 1):
         for n in range(m, cap + 1):
-            run.count()
+            run.checked += 1
             grid = cartesian_product(path(m), path(n))
             exp = (m + 4) // 4 if m % 8 == 4 else (m + 3) // 4  # ceil((m+1)/4), ceil(m/4)
             got = _gp(grid)
@@ -739,7 +757,7 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
     for g, h in pairs:
-        run.count()
+        run.checked += 1
         prod = cartesian_product(g, h)
         gp_prod = _gp(prod)
         gp_g = _gp(g)
@@ -833,7 +851,7 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
     return False
 
 
-@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, 8, "connected")
+@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, MAX_BUILTIN_ORDER, "connected")
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     witness = None
@@ -841,7 +859,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     # jump search (power domination 2), which stops at its first witness.
     for g in u.between(1, cap):
         if _pd_at_most(g, 1):
-            run.count()
+            run.checked += 1
             prod = cartesian_product(g, p2)
             if not _pd_at_most(prod, 2):
                 run.fail(
@@ -850,7 +868,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     str(_gp(prod)),
                 )
         elif witness is None and _pd_at_most(g, 2):
-            run.count()
+            run.checked += 1
             if _gp(cartesian_product(g, p2)) == 3:
                 witness = g
     factors = list(u.between(2, 5))
@@ -860,7 +878,7 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
         for h in factors:
             if g.n * h.n > 20:
                 continue
-            run.count()
+            run.checked += 1
             prod = cartesian_product(g, h)
             actual = _pd_at_most(prod, 1)
             candidates = []
@@ -878,12 +896,12 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                 )
     if witness is not None:
         _recheck_power_domination(cartesian_product(witness, p2), 3)
-        run.note(
+        run.notes.append(
             f"witness: {write_graph6(witness)} has power domination number 2 and its "
             "product with an edge needs 3 (re-checked standalone)"
         )
     else:
-        run.note(
+        run.notes.append(
             f"no witness with power domination 2 jumping to 3 in the product "
             f"with an edge up to n={cap}"
         )

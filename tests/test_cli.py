@@ -9,7 +9,10 @@ import textwrap
 import pytest
 
 from zfpd.cli import main
-from zfpd.families import are_isomorphic, enumerate_connected, parse_graph6, path, star, wheel, write_graph6
+from zfpd.families import (
+    are_isomorphic, enumerate_connected, parse_edge_list, parse_graph6, path, star, wheel, write_graph6,
+)
+from zfpd.graph import MAX_ORDER
 from zfpd.products import cartesian_product
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -42,8 +45,8 @@ def test_gen_refuses_an_option_the_family_does_not_take(capsys):
         (("--family", "wagner", "--legs", "1,1,1"), "family 'wagner' takes no leg lengths"),
         # a family missing the option it takes keeps its message
         (("--family", "path"), "family 'path' needs an order"),
-        (("--family", "multipartite"), "multipartite needs part sizes"),
-        (("--family", "spider"), "spider needs leg lengths"),
+        (("--family", "multipartite"), "family 'multipartite' needs part sizes"),
+        (("--family", "spider"), "family 'spider' needs leg lengths"),
     ):
         code, out, err = run(capsys, "gen", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
@@ -194,6 +197,34 @@ def test_product_amalgam(capsys, tmp_path):
     assert are_isomorphic(parse_graph6(out.strip()), path(3))
 
 
+def test_outside_input_above_the_order_cap_is_refused(capsys, tmp_path):
+    # Only the cap plus one is asked for, and each refusal comes before any row is built.
+    top = MAX_ORDER + 1
+    assert parse_edge_list([f"0 {MAX_ORDER - 1}"]).n == MAX_ORDER
+    edges = tmp_path / "big.txt"
+    edges.write_text(f"0 1\n# far label\n0 {MAX_ORDER}\n", encoding="ascii")
+    left = next(d for d in range(2, top) if top % d == 0)  # operands whose product is the cap plus one
+    factors = [tmp_path / "left.txt", tmp_path / "right.txt"]
+    for f, order in zip(factors, (left, top // left)):
+        f.write_text(f"0 {order - 1}\n", encoding="ascii")
+    pair = [tmp_path / "k2.txt", tmp_path / "cap.txt"]  # amalgam order 2 + cap - 1
+    for f, order in zip(pair, (2, MAX_ORDER)):
+        f.write_text(f"0 {order - 1}\n", encoding="ascii")
+    product = f"a product of orders {left} and {top // left}"
+    for argv, what in (
+        (("compute", "--input", str(edges), "--edgelist", "--params", "zf"), f"line 3: vertex label {MAX_ORDER}"),
+        (("gen", "--family", "path", "--n", str(top)), "family 'path'"),
+        (("gen", "--family", "multipartite", "--parts", f"1,{MAX_ORDER}"), "family 'multipartite'"),
+        (("gen", "--family", "spider", "--legs", f"1,1,{MAX_ORDER - 2}"), "family 'spider'"),
+        (("product", "--kind", "cartesian", "--edgelist", *map(str, factors)), product),
+        (("product", "--kind", "lex", "--edgelist", *map(str, factors)), product),
+        (("product", "--kind", "amalgam", "--edgelist", *map(str, pair)), f"an amalgam of orders 2 and {MAX_ORDER}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        message = f"error: {what} asks for order {top}, above the cap of {MAX_ORDER}\n"
+        assert (code, out, err) == (2, "", message), argv
+
+
 def test_product_refuses_at_for_a_kind_without_glue(capsys, tmp_path):
     a = tmp_path / "p2.g6"
     a.write_text("A_\n", encoding="ascii")
@@ -227,6 +258,26 @@ def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--ids", "BOGUS")
     assert code == 2
     assert "unknown theorem id" in err
+
+
+def test_verify_refuses_every_id_before_building_anything(capsys, monkeypatch):
+    # T7 alone would build the trees up to order 10; the run is refused for a
+    # later id first, at every worker count.
+    from zfpd import families, theorems
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a universe order was built before the run was refused")
+
+    for module in (families, theorems):
+        for name in ("build_classes", "enumerate_connected", "enumerate_trees"):
+            monkeypatch.setattr(module, name, unreachable)
+    for ids, message in (
+        ("T7,T1", "T1 is capped at max_n=8 without a universe file"),
+        ("T7,T99", "unknown theorem id 'T99' (known: " + ", ".join(theorems.theorem_ids()) + ")"),
+    ):
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "verify", "--ids", ids, "--max-n", "10", "--workers", workers)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (ids, workers)
 
 
 def test_verify_runs_a_repeated_id_once(capsys):

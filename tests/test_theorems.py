@@ -11,6 +11,7 @@ from zfpd.theorems import (
     _REGISTRY,
     Universe,
     VerifyReport,
+    _cap,
     _pd_at_most,
     _recheck_power_domination,
     claim_of,
@@ -67,6 +68,34 @@ def test_a_file_lifts_no_cap_of_a_verifier_that_reads_no_universe(tmp_path):
     for tid, hard_cap in (("T5", 12), ("T6", 12), ("T11", 12), ("T14", 10)):
         with pytest.raises(ValueError, match=f"^{tid} is capped at max_n={hard_cap}; it reads no universe file$"):
             verify(tid, max_n=hard_cap + 1, universe=u)
+
+
+def test_a_file_covers_an_order_only_for_the_kinds_of_graph_it_holds(tmp_path):
+    def universe(name, *graphs):
+        f = tmp_path / name
+        f.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+        return Universe([str(f)])
+
+    # the 13-cycle is connected but no tree: it lifts no tree order
+    c13 = universe("c13.g6", cycle(13))
+    assert c13.has_file_for("connected", 13) and not c13.has_file_for("trees", 13)
+    with pytest.raises(ValueError, match="^T7 is capped at max_n=12 without a universe file$"):
+        verify("T7", max_n=13, universe=c13)
+    assert 13 in c13.part("connected", 7)._orders["connected"]
+    assert c13.part("trees", 9)._orders["trees"] == {}
+    # a disconnected graph covers nothing
+    disc9 = universe("disc9.g6", Graph(9, [(0, 1)]))
+    assert not disc9.has_file_for("connected", 9)
+    with pytest.raises(ValueError, match="^T1 is capped at max_n=8 without a universe file$"):
+        verify("T1", max_n=9, universe=disc9)
+    # so an order it alone holds still comes from the built-in enumeration
+    disc5 = universe("disc5.g6", Graph(5, [(0, 1)]))
+    assert verify("T1", max_n=5, universe=disc5).checked == 1 + 1 + 2 + 6 + 21
+    assert verify("T2", max_n=5, universe=disc5).notes == ["n=5: 21 graphs (built-in)"]
+    # a tree supplies its order to both kinds, and lifts T7 with no tree built
+    p13 = universe("p13.g6", path(13))
+    assert p13.has_file_for("trees", 13) and p13.has_file_for("connected", 13)
+    assert _cap("T7", 13, p13) == 13
 
 
 def test_prepare_refuses_before_building_anything():
@@ -250,10 +279,10 @@ def test_report_pickles_and_keeps_its_json_keys():
     # pool workers send their reports back pickled
     report = VerifyReport("T8", claim_of("T8"))
     report.universe = "connected graphs, orders 1..4"
-    report.count()
-    report.count()
+    report.checked += 1
+    report.checked += 1
     report.fail(path(3), "Z = 1", "Z = 2")
-    report.note("no witness up to n=4")
+    report.notes.append("no witness up to n=4")
     report.elapsed_s = 0.25
     d = report.to_dict()
     assert pickle.loads(pickle.dumps(report)).to_dict() == d
@@ -269,7 +298,7 @@ def test_universe_files_override_orders(tmp_path):
     lines = [write_graph6(wagner_graph()), "# comment", write_graph6(canonical_graph(h_graph()))]
     fname.write_text("\n".join(lines) + "\n", encoding="ascii")
     u = Universe([str(fname)])
-    assert u.has_file_for(8)
+    assert u.has_file_for("connected", 8)
     assert len(u.connected(8)) == 1  # only the Wagner graph has order 8
     assert u.source(8) == "n8.g6"
     assert len(u.connected(3)) == 2  # smaller orders still come from the built-in
