@@ -38,10 +38,10 @@ optimal ones; the tests compare the two.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
-and the spider number a tree; a size ``k`` with more than 1,000,000 subsets
-of ``n`` vertices, and a graph above the path cover or spider cap, are
-refused rather than swept.  A refusal is a ``ValueError`` whose message
-``zfpd compute`` reports, unchanged, under ``skipped``.
+and the spider number a tree; a size ``k`` above 256 or with more than
+1,000,000 subsets of ``n`` vertices, and a graph above the path cover or
+spider cap, are refused rather than swept.  A refusal is a ``ValueError``
+whose message ``zfpd compute`` reports, unchanged, under ``skipped``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ __all__ = [
 _PATH_COVER_CAP = 24
 _SPIDER_CAP = 20
 _SUBSET_CAP = 1_000_000
+# The k-subset searches recurse once per chosen vertex; this keeps them well
+# inside Python's recursion limit, and Z(K_257) = 256 takes about 3 s.
+_SET_CAP = 256
 
 Witness = Union[int, tuple[tuple[int, ...], ...]]
 W = TypeVar("W")
@@ -107,6 +110,8 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     n = g.n
     if k < 0 or k > n:
         return None
+    if k > _SET_CAP:
+        raise ValueError(f"{what} search is capped at sets of {_SET_CAP} vertices")
     if comb(n, k) > _SUBSET_CAP:
         raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask
@@ -166,6 +171,8 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
     n = g.n
     if n and k < g.degree_stats()[0] or k < 0 or k > n:
         return None
+    if k > _SET_CAP:
+        raise ValueError(f"zero forcing search is capped at sets of {_SET_CAP} vertices")
     if comb(n, k) > _SUBSET_CAP:
         raise ValueError(f"zero forcing search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask

@@ -19,10 +19,15 @@ it too.  A ``Universe`` pickles, so pool workers can be sent it.
 ``universe=None`` means the built-in enumeration alone.
 
 Each rule of a run lives in one place.  ``_cap`` alone refuses an unknown
-id, a bad ``max_n`` and an order above a hard cap that no file covers, and
-it needs nothing built, so the CLI calls it for every id before any work.
-A file covers an order only for the kinds of graph it holds there, which
-``Universe`` records once, when it reads the files.
+id, a bad ``max_n``, an order above a verifier's own cap and an order above
+the built-in enumeration that no file covers, and it needs nothing built,
+so the CLI calls it for every id before any work.  An own cap is the
+verifier's limit and no file lifts it: T4's claim is about order <= 7, T13
+pairs every factor with every factor, and T5, T6, T11 and T14 read no
+universe.  Every other verifier is limited only by its universe, whose
+built-in orders stop where ``families`` says.  A file covers an order only
+for the kinds of graph it holds there, which ``Universe`` records once,
+when it reads the files.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, bits, is_path, is_tree
 from .families import (
-    MAX_BUILTIN_ORDER,
-    MAX_TREE_ORDER,
+    _EXTEND,
     build_classes,
     complete,
     complete_multipartite,
@@ -142,7 +146,8 @@ class Universe:
             base = os.path.basename(fname)
             for g in graphs:
                 if g.n and g.is_connected():  # is_connected refuses the order-0 graph
-                    for kind in ("connected", "trees") if is_tree(g) else ("connected",):
+                    # a connected graph with n - 1 edges is a tree
+                    for kind in ("connected", "trees") if g.m == g.n - 1 else ("connected",):
                         held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                         self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
         self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
@@ -232,14 +237,15 @@ def _twin_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # registry
 
-# tid -> (claim, default cap, hard cap, the universe the verifier reads:
-# "connected", "trees" or None, the verifier)
-_REGISTRY: dict[str, tuple[str, int, int, str | None, Callable[[VerifyReport, Universe, int], str]]] = {}
+# tid -> (claim, default cap, own cap: the verifier's limit, which no file
+# lifts, or None, the universe the verifier reads: "connected", "trees" or
+# None, the verifier)
+_REGISTRY: dict[str, tuple[str, int, int | None, str | None, Callable[[VerifyReport, Universe, int], str]]] = {}
 
 
-def _verifier(tid: str, claim: str, default_cap: int, hard_cap: int, sweeps: str | None):
+def _verifier(tid: str, claim: str, default_cap: int, own_cap: int | None, sweeps: str | None):
     def wrap(fn: Callable[[VerifyReport, Universe, int], str]):
-        _REGISTRY[tid] = (claim, default_cap, hard_cap, sweeps, fn)
+        _REGISTRY[tid] = (claim, default_cap, own_cap, sweeps, fn)
         return fn
 
     return wrap
@@ -256,23 +262,25 @@ def claim_of(tid: str) -> str:
 def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
     """The order ``tid`` sweeps up to, or the ``ValueError`` that refuses the run.
 
-    Only a verifier that reads the universe can have its hard cap lifted by
-    files, and only when they hold graphs of the kind it sweeps at every
-    order above it.  It reads only the registry and the file orders, so a
-    caller can refuse a run with it before anything is built.
+    Two limits apply.  A verifier's own cap, if it has one, is never lifted.
+    A verifier that reads the universe also stops at the built-in
+    enumeration limit of the kind it sweeps (``families._EXTEND``, which
+    ``build_classes`` enforces), unless files hold graphs of that kind at
+    every order above the limit.  It reads only the registry and the file
+    orders, so a caller can refuse a run with it before anything is built.
     """
     if tid not in _REGISTRY:
         known = ", ".join(theorem_ids())
         raise ValueError(f"unknown theorem id {tid!r} (known: {known})")
-    _, default_cap, hard_cap, sweeps, _ = _REGISTRY[tid]
+    _, default_cap, own_cap, sweeps, _ = _REGISTRY[tid]
     cap = default_cap if max_n is None else max_n
     if cap < 1:
         raise ValueError(f"max_n must be at least 1, got {cap}")
-    if cap > hard_cap:
-        if sweeps is None:
-            raise ValueError(f"{tid} is capped at max_n={hard_cap}; it reads no universe file")
-        if not all(universe.has_file_for(sweeps, n) for n in range(hard_cap + 1, cap + 1)):
-            raise ValueError(f"{tid} is capped at max_n={hard_cap} without a universe file")
+    if own_cap is not None and cap > own_cap:
+        raise ValueError(f"{tid} is capped at max_n={own_cap}; no universe file lifts it")
+    limit = _EXTEND[sweeps][1] if sweeps else cap
+    if not all(universe.has_file_for(sweeps, n) for n in range(limit + 1, cap + 1)):
+        raise ValueError(f"{tid} is capped at max_n={limit} without a universe file")
     return cap
 
 
@@ -280,10 +288,10 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
     """Run one verifier and return its report.
 
     ``max_n`` overrides the verifier's default size cap.  It must be at
-    least 1, and above the hard cap only for a verifier that reads the
-    universe and only when a universe file covers every order up to it;
-    ``universe`` supplies the graphs, and ``None`` means the built-in
-    enumeration.
+    least 1, at most the verifier's own cap if it has one, and above the
+    built-in enumeration limit of the kind it sweeps only when a universe
+    file covers every order up to it (see ``_cap``); ``universe`` supplies
+    the graphs, and ``None`` means the built-in enumeration.
     """
     if universe is None:
         universe = Universe()
@@ -303,7 +311,8 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
     Every order up to a verifier's cap that no file covers is enumerated in
     ``universe`` before any verifier starts, in ``pool`` split ``shards`` ways
     (see ``families.build_classes``).  A run that ``verify`` would refuse is
-    refused here, with the same message, before anything is built.
+    refused here, with the same message, before anything is built, so no
+    order above a verifier's own cap is ever built for it.
     """
     caps = [_cap(tid, max_n, universe) for tid in ids]
     kinds = [_REGISTRY[tid][3] for tid in ids]
@@ -318,7 +327,7 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
 # verifiers
 
 
-@_verifier("T1", "zero forcing number 1 exactly for paths", 7, MAX_BUILTIN_ORDER, "connected")
+@_verifier("T1", "zero forcing number 1 exactly for paths", 7, None, "connected")
 def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(1, cap):
         run.checked += 1
@@ -333,9 +342,7 @@ def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier(
-    "T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, MAX_BUILTIN_ORDER, "connected"
-)
+@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, None, "connected")
 def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)
@@ -356,25 +363,22 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 5<=n<={cap}"
 
 
-@_verifier(
-    "T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, MAX_BUILTIN_ORDER, "connected"
-)
+@_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, None, "connected")
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
     for g in u.between(1, cap):
         run.checked += 1
-        dom1 = _gamma_is_one(g)  # same thing as a universal vertex
+        gp, gamma = _gp(g), _gamma(g)
+        dom1, pd1 = gamma == 1, gp == 1
         lhs = g.degree_stats()[1] == g.n - 1
-        pd1 = _pd_at_most(g, 1)
-        rhs = dom1 and pd1
-        if lhs != rhs:
+        if lhs != (dom1 and pd1):
             run.fail(
                 g,
                 "max degree n-1 iff (domination=1 and power domination=1)",
                 f"max_degree_hit={lhs}, domination1={dom1}, power_domination1={pd1}",
             )
         # Weaker reading: "power domination equals domination" instead of both 1.
-        if g.n >= 2 and (_gp(g) == _gamma(g)) != lhs:
+        if (gp == gamma) != lhs:
             weaker_bad.append(write_graph6(g))
     if weaker_bad:
         run.notes.append(
@@ -386,13 +390,12 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}, both directions"
 
 
-@_verifier("T4", "smallest graphs that need two power dominators", 7, MAX_BUILTIN_ORDER, "connected")
+@_verifier("T4", "smallest graphs that need two power dominators", 7, 7, "connected")
 def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
-    top = min(7, cap)
     two_at_six = []
-    # Orders 1..6 are swept whatever the cap; the twin-free check stops at top.
-    for g in u.between(1, max(6, top)):
-        twin_free = g.n <= top and _twin_free(g)
+    # Orders 1..6 are swept whatever the cap; the twin-free check stops at cap.
+    for g in u.between(1, max(6, cap)):
+        twin_free = g.n <= cap and _twin_free(g)
         if g.n > 6 and not twin_free:
             continue
         if g.n <= 6:
@@ -427,7 +430,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
     gp_w = _gp(wg)
     if gp_w != 2:
         run.fail(wg, "Wagner graph power domination number 2", str(gp_w))
-    return f"connected graphs n<=5; order 6; Wagner graph; twin-free n<={top}"
+    return f"connected graphs n<=5; order 6; Wagner graph; twin-free n<={cap}"
 
 
 @_verifier("T5", "parameter table for the basic families", 10, 12, None)
@@ -539,7 +542,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"complete multipartite part profiles of total order <= {cap}, one edge per part pair"
 
 
-@_verifier("T7", "tree power domination equals the spider partition number", 9, MAX_TREE_ORDER, "trees")
+@_verifier("T7", "tree power domination equals the spider partition number", 9, None, "trees")
 def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):
@@ -557,7 +560,7 @@ def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"all trees 1<=n<={cap}"
 
 
-@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, MAX_BUILTIN_ORDER, "connected")
+@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, None, "connected")
 def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):
@@ -569,14 +572,13 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
                 "planar with diameter <= 2: power domination number <= 2",
                 str(_gp(g)),
             )
-        if d <= 3 and is_outerplanar(g):
-            if not _pd_at_most(g, 1):
-                run.fail(
-                    g,
-                    "outerplanar with diameter <= 3: power domination number 1",
-                    str(_gp(g)),
-                )
-            if d <= 2 and not _pd_at_most(g, 1):
+        if d <= 3 and is_outerplanar(g) and not _pd_at_most(g, 1):
+            run.fail(
+                g,
+                "outerplanar with diameter <= 3: power domination number 1",
+                str(_gp(g)),
+            )
+            if d <= 2:
                 variant_bad += 1
     if variant_bad:
         run.notes.append(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")
@@ -585,9 +587,7 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier(
-    "T9", "large maximum degree keeps the power domination number small", 8, MAX_BUILTIN_ORDER, "connected"
-)
+@_verifier("T9", "large maximum degree keeps the power domination number small", 8, None, "connected")
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(1, cap):
@@ -619,9 +619,7 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}; witness search for max degree n-5"
 
 
-@_verifier(
-    "T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, MAX_BUILTIN_ORDER, "connected"
-)
+@_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, None, "connected")
 def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
     witness = None
     for g in u.between(4, cap):
@@ -691,7 +689,7 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"(n-3)-regular connected graphs 5<=n<={cap} (cycle-union complements)"
 
 
-@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, MAX_BUILTIN_ORDER, "connected")
+@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, None, "connected")
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(3, cap):
         run.checked += 1
@@ -750,7 +748,7 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"grids P_m box P_n with 1<=m<=min(5,{cap}), m<=n<={cap}"
 
 
-@_verifier("T15", "Cartesian product power domination bounds", 5, 6, "connected")
+@_verifier("T15", "Cartesian product power domination bounds", 5, None, "connected")
 def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = list(u.between(2, cap))
     small = list(u.between(2, 3))
@@ -851,7 +849,7 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
     return False
 
 
-@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, MAX_BUILTIN_ORDER, "connected")
+@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, None, "connected")
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     witness = None

@@ -280,6 +280,29 @@ def test_verify_refuses_every_id_before_building_anything(capsys, monkeypatch):
             assert (code, out, err) == (2, "", f"error: {message}\n"), (ids, workers)
 
 
+def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch, tmp_path):
+    # T4 and T13 have caps of their own, which no universe file lifts.
+    from zfpd import families, theorems
+
+    above = tmp_path / "six_to_eight.g6"
+    above.write_text("".join(write_graph6(path(n)) + "\n" for n in (6, 7, 8)), encoding="ascii")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a universe order was built before the run was refused")
+
+    for module in (families, theorems):
+        for name in ("build_classes", "enumerate_connected", "enumerate_trees"):
+            monkeypatch.setattr(module, name, unreachable)
+    for args, message in (
+        (("--ids", "T13", "--max-n", "6"), "T13 is capped at max_n=5; no universe file lifts it"),
+        (("--ids", "T4", "--max-n", "8"), "T4 is capped at max_n=7; no universe file lifts it"),
+    ):
+        for universe in ((), ("--universe", str(above))):
+            for workers in ("1", "2"):
+                code, out, err = run(capsys, "verify", *args, *universe, "--workers", workers)
+                assert (code, out, err) == (2, "", f"error: {message}\n"), (args, universe, workers)
+
+
 def test_verify_runs_a_repeated_id_once(capsys):
     code, out, _ = run(capsys, "verify", "--ids", "T1,T3,T1", "--max-n", "3", "--format", "json")
     assert code == 0

@@ -187,6 +187,18 @@ def test_solver_errors():
     assert spider_number(path(20)).value == 1
 
 
+def test_set_size_cap_refuses_before_any_search():
+    # Z(K_n) = n - 1 and every smaller size is below the minimum degree, so
+    # the first size searched is already above the cap.
+    cap = invariants._SET_CAP
+    big = complete(cap + 2)
+    with pytest.raises(ValueError, match=f"^zero forcing search is capped at sets of {cap} vertices$"):
+        zero_forcing_number(big)
+    with pytest.raises(ValueError, match=f"^power domination search is capped at sets of {cap} vertices$"):
+        find_power_dominating_set(big, cap + 1)
+    assert find_zero_forcing_set(big, cap) is None  # below the minimum degree: no search, no refusal
+
+
 def test_oracle_equivalence_small():
     for n in range(1, 6):
         for g in enumerate_connected(n):

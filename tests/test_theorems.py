@@ -34,15 +34,18 @@ def test_unknown_id():
         verify("T99")
 
 
-def test_no_hard_cap_passes_the_built_in_cap_of_the_universe_it_sweeps():
-    # Universe asks build_classes for any order it lacks; verify refuses every
-    # order above a hard cap that no file covers, so none reaches past the built-in cap.
+def test_every_default_cap_is_within_the_own_cap_and_the_enumeration_limit():
+    # A verifier that reads no universe needs an own cap to bound it; a universe
+    # reader's default run must not ask build_classes past its kind's limit.
     built_in = {"connected": MAX_BUILTIN_ORDER, "trees": MAX_TREE_ORDER}
-    for tid, (_, default_cap, hard_cap, sweeps, _) in _REGISTRY.items():
+    for tid, (_, default_cap, own_cap, sweeps, _) in _REGISTRY.items():
         assert sweeps in (None, *built_in), tid
-        assert default_cap <= hard_cap, tid
-        if sweeps is not None:
-            assert hard_cap <= built_in[sweeps], tid
+        if sweeps is None:
+            assert own_cap is not None, tid
+        else:
+            assert default_cap <= built_in[sweeps], tid
+        if own_cap is not None:
+            assert default_cap <= own_cap, tid
 
 
 def test_cap_without_universe_file():
@@ -51,6 +54,14 @@ def test_cap_without_universe_file():
     # T9's built-in universe stops at order 8, so order 9 is refused before any sweep.
     with pytest.raises(ValueError, match="T9 is capped at max_n=8 without a universe file"):
         verify("T9", max_n=9)
+
+
+def test_only_the_enumeration_limit_bounds_a_verifier_without_an_own_cap():
+    # T15's pairs stop at product order 20, so it has no own cap; T1 still
+    # needs a file past the built-in enumeration.
+    assert _cap("T15", 8, Universe()) == 8
+    with pytest.raises(ValueError, match="^T1 is capped at max_n=8 without a universe file$"):
+        _cap("T1", 9, Universe())
 
 
 def test_hard_cap_lift_needs_every_order_above_it(tmp_path):
@@ -66,7 +77,7 @@ def test_a_file_lifts_no_cap_of_a_verifier_that_reads_no_universe(tmp_path):
     above.write_text("".join(write_graph6(path(n)) + "\n" for n in range(11, 14)), encoding="ascii")
     u = Universe([str(above)])
     for tid, hard_cap in (("T5", 12), ("T6", 12), ("T11", 12), ("T14", 10)):
-        with pytest.raises(ValueError, match=f"^{tid} is capped at max_n={hard_cap}; it reads no universe file$"):
+        with pytest.raises(ValueError, match=f"^{tid} is capped at max_n={hard_cap}; no universe file lifts it$"):
             verify(tid, max_n=hard_cap + 1, universe=u)
 
 
