@@ -3,7 +3,8 @@
 Four subcommands: ``compute`` evaluates parameters on graphs from a file,
 ``gen`` emits family members as graph6, ``product`` combines two graphs,
 and ``verify`` runs the claim checkers.  Output is a human table on a
-terminal and JSON when piped; ``--format`` forces either.
+terminal and JSON when piped or written to ``--out``; ``--format`` forces
+either.
 
 The library decides what it refuses: solvers, parsers, generators and
 verifiers raise ``ValueError`` or ``IndexError`` with their own message.
@@ -91,10 +92,11 @@ def _ints(option: str, text: str, count: int | None = None) -> tuple[int, ...]:
     raise ValueError(f"{option} expects {form}, got {text!r}")
 
 
-def _pick_format(requested: str | None) -> str:
-    if requested:
-        return requested
-    return "table" if sys.stdout.isatty() else "json"
+def _pick_format(args: argparse.Namespace) -> str:
+    """``--format`` if given, else a table for a terminal and JSON for a pipe or an ``--out`` file."""
+    if args.format:
+        return args.format
+    return "table" if args.out is None and sys.stdout.isatty() else "json"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -129,7 +131,7 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
                 continue
             entry["params"][p] = {"value": res.value, "witness": _witness_json(res.witness)}
         entries.append(entry)
-    if _pick_format(args.format) == "json":
+    if _pick_format(args) == "json":
         return json.dumps({"graphs": entries}, indent=2, sort_keys=True) + "\n", 0
     lines = []
     for entry in entries:
@@ -202,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         # Each order is built inside the first verifier that reads it, so its time stays in that report.
         reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]
     status = 0 if all(r.passed for r in reports) else 1
-    if _pick_format(args.format) == "json":
+    if _pick_format(args) == "json":
         return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True) + "\n", status
     lines = []
     for r in reports:

@@ -38,9 +38,13 @@ optimal ones; the tests compare the two.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
-and the spider number a tree; a size ``k`` above 256 or with more than
-1,000,000 subsets of ``n`` vertices, and a graph above the path cover or
-spider cap, are refused rather than swept.  A refusal is a ``ValueError``
+and the spider number a tree.  A cap bounds only a search, so an answer that
+needs none comes first: zero forcing's minimum-degree shortcut, a path, a
+spider.  The ``k``-subset searches share one guard, ``_sweepable``, which
+refuses a size ``k`` above 256 or with more than 1,000,000 subsets of ``n``
+vertices; the partition searches refuse a graph above the path cover or
+spider cap.  ``theorems`` imports those two order caps, so ``verify``
+refuses a run above one before any work.  A refusal is a ``ValueError``
 whose message ``zfpd compute`` reports, unchanged, under ``skipped``.
 """
 
@@ -96,6 +100,17 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("disconnected graph")
 
 
+def _sweepable(n: int, k: int, what: str) -> bool:
+    """Whether ``n`` vertices have ``k``-subsets; refuses a size too large to sweep."""
+    if k < 0 or k > n:
+        return False
+    if k > _SET_CAP:
+        raise ValueError(f"{what} search is capped at sets of {_SET_CAP} vertices")
+    if comb(n, k) > _SUBSET_CAP:
+        raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
+    return True
+
+
 def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: str) -> Optional[int]:
     """Smallest ``k``-subset mask whose union of ``rows`` covers ``g``, if any.
 
@@ -108,12 +123,8 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     union must be every vertex, computed once per complete subset.
     """
     n = g.n
-    if k < 0 or k > n:
+    if not _sweepable(n, k, what):
         return None
-    if k > _SET_CAP:
-        raise ValueError(f"{what} search is capped at sets of {_SET_CAP} vertices")
-    if comb(n, k) > _SUBSET_CAP:
-        raise ValueError(f"{what} search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask
     below = [0] * n
     if not forcing:
@@ -169,12 +180,8 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
       ``u``.
     """
     n = g.n
-    if n and k < g.degree_stats()[0] or k < 0 or k > n:
+    if n and k < g.degree_stats()[0] or not _sweepable(n, k, "zero forcing"):
         return None
-    if k > _SET_CAP:
-        raise ValueError(f"zero forcing search is capped at sets of {_SET_CAP} vertices")
-    if comb(n, k) > _SUBSET_CAP:
-        raise ValueError(f"zero forcing search is capped at {_SUBSET_CAP} subsets of one size")
     full = g.full_mask
     adj = g.adj
 
@@ -375,11 +382,11 @@ def _path_order(g: Graph, mask: int) -> tuple[int, ...]:
 def path_cover_number(g: Graph) -> ParamResult:
     """Fewest vertex-disjoint induced paths covering every vertex.
 
-    Exact, by ``_fewest_parts``; refuses graphs above 24 vertices rather
-    than degrade silently.
+    Exact, by ``_fewest_parts``.  A path is answered without a search; any
+    other graph above 24 vertices is refused rather than searched.
     """
     _require_connected(g)
-    if g.n > _PATH_COVER_CAP:
+    if g.n > _PATH_COVER_CAP and not is_path(g):
         raise ValueError(f"path cover search is capped at {_PATH_COVER_CAP} vertices")
     masks = [g.full_mask] if is_path(g) else _fewest_parts(g, _induced_path_masks(g))
     return ParamResult(len(masks), tuple(_path_order(g, q) for q in masks))
@@ -398,14 +405,15 @@ def is_spider(t: Graph) -> bool:
 def spider_number(t: Graph) -> ParamResult:
     """Fewest parts of a vertex partition of a tree into spider-inducing sets.
 
-    Refuses trees above 20 vertices: at that order, a vertex with 16 leaves
-    next to one with 2 leaves already has 2^18 + 39 candidate parts, and
-    listing them takes most of a second.
+    A spider is answered without a search; any other tree above 20 vertices
+    is refused: at that order, a vertex with 16 leaves next to one with 2
+    leaves already has 2^18 + 39 candidate parts, and listing them takes
+    most of a second.
     """
     _require_connected(t)
     if t.m != t.n - 1:
         raise ValueError("spider number needs a tree")
-    if t.n > _SPIDER_CAP:
+    if t.n > _SPIDER_CAP and not is_spider(t):
         raise ValueError(f"spider search is capped at {_SPIDER_CAP} vertices")
     masks = [t.full_mask] if is_spider(t) else _fewest_parts(t, _spider_masks(t))
     return ParamResult(len(masks), tuple(tuple(bits(q)) for q in masks))

@@ -10,6 +10,11 @@ different hosts coincide a lot.
 Planarity excludes complete-5 and complete-bipartite-3-3 minors behind the
 edge-count prefilter.  Outerplanarity needs no minor search: it peels
 vertices of degree at most 2, as in Mitchell's linear-time reduction.
+
+The host cap bounds only the contraction search, so the answers that need
+none come before it: the edge bound of planarity, and a host with fewer
+edges than the pattern.  ``theorems`` imports the cap as T8's own, so
+``verify`` refuses T8 above it before any work.
 """
 
 from __future__ import annotations
@@ -142,10 +147,13 @@ def has_minor(g: Graph, pattern: Graph) -> MinorWitness | None:
 
     Patterns are capped at order 6 (embedding one backtracks over the host
     vertices once per pattern vertex) and hosts at 12 vertices (the
-    contraction search branches on every edge).
+    contraction search branches on every edge); a host with fewer edges
+    than the pattern is answered first, at any order.
     """
     if pattern.n > _MAX_PATTERN:
         raise ValueError(f"minor patterns are capped at order {_MAX_PATTERN}")
+    if g.m < pattern.m:
+        return None
     if g.n > _HOST_CAP:
         raise ValueError(f"minor test is capped at {_HOST_CAP} host vertices")
     found = _minor(g, pattern, canonical_key(pattern), [1 << v for v in range(g.n)])
@@ -182,11 +190,12 @@ def is_outerplanar(g: Graph) -> bool:
 def is_planar(g: Graph) -> bool:
     """Forbidden-minor test: no complete-5 and no complete-bipartite-3-3 minor.
 
-    Desk-scale only; refuses hosts above 12 vertices.
+    Desk-scale only: a graph the edge bound rules out is answered at any
+    order, and the minor search refuses any other host above 12 vertices.
     """
-    if g.n > _HOST_CAP:
-        raise ValueError(f"planarity test is capped at {_HOST_CAP} vertices")
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
+    if g.n > _HOST_CAP:
+        raise ValueError(f"planarity test is capped at {_HOST_CAP} vertices")
     branch = [1 << v for v in range(g.n)]
     return all(_minor(g, p, key, branch) is None for p, key in (_K5, _K33))

@@ -22,12 +22,14 @@ Each rule of a run lives in one place.  ``_cap`` alone refuses an unknown
 id, a bad ``max_n``, an order above a verifier's own cap and an order above
 the built-in enumeration that no file covers, and it needs nothing built,
 so the CLI calls it for every id before any work.  An own cap is the
-verifier's limit and no file lifts it: T4's claim is about order <= 7, T13
-pairs every factor with every factor, and T5, T6, T11 and T14 read no
-universe.  Every other verifier is limited only by its universe, whose
-built-in orders stop where ``families`` says.  A file covers an order only
-for the kinds of graph it holds there, which ``Universe`` records once,
-when it reads the files.
+verifier's limit or the order cap of a solver it calls, and no file lifts
+it: T4's claim is about order <= 7, T13 pairs every factor with every
+factor, T5, T6, T11 and T14 read no universe, and T2, T7 and T8 call the
+path cover, spider and planarity searches, whose caps they import.  Every
+other verifier is limited only by its universe, whose built-in orders stop
+where ``families`` says.  A file covers an order only for the kinds of
+graph it holds there, which ``Universe`` records once, when it reads the
+files.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from .families import (
     write_graph6,
 )
 from .invariants import (
+    _PATH_COVER_CAP,
+    _SPIDER_CAP,
     _induced_path_masks,
     domination_number,
     find_power_dominating_set,
@@ -68,7 +72,7 @@ from .invariants import (
 )
 from .products import cartesian_product, lexicographic_product
 from .propagation import is_power_dominating_set
-from .structure import is_outerplanar, is_planar
+from .structure import _HOST_CAP, is_outerplanar, is_planar
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -237,9 +241,10 @@ def _twin_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # registry
 
-# tid -> (claim, default cap, own cap: the verifier's limit, which no file
-# lifts, or None, the universe the verifier reads: "connected", "trees" or
-# None, the verifier)
+# tid -> (claim, default cap, own cap, the universe the verifier reads:
+# "connected", "trees" or None, the verifier).  The own cap is the
+# verifier's limit or the order cap of a solver it calls, imported from that
+# solver's module, and no file lifts it; None leaves only the universe.
 _REGISTRY: dict[str, tuple[str, int, int | None, str | None, Callable[[VerifyReport, Universe, int], str]]] = {}
 
 
@@ -262,7 +267,9 @@ def claim_of(tid: str) -> str:
 def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
     """The order ``tid`` sweeps up to, or the ``ValueError`` that refuses the run.
 
-    Two limits apply.  A verifier's own cap, if it has one, is never lifted.
+    Two limits apply.  A verifier's own cap, if it has one, is never lifted:
+    it is the verifier's limit or the order cap of a solver it calls, so a
+    run the solver would refuse partway through is refused here instead.
     A verifier that reads the universe also stops at the built-in
     enumeration limit of the kind it sweeps (``families._EXTEND``, which
     ``build_classes`` enforces), unless files hold graphs of that kind at
@@ -342,7 +349,7 @@ def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, None, "connected")
+@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, _PATH_COVER_CAP, "connected")
 def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)
@@ -542,7 +549,7 @@ def _t6(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"complete multipartite part profiles of total order <= {cap}, one edge per part pair"
 
 
-@_verifier("T7", "tree power domination equals the spider partition number", 9, None, "trees")
+@_verifier("T7", "tree power domination equals the spider partition number", 9, _SPIDER_CAP, "trees")
 def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(1, cap + 1):
         for t in u.trees(n):
@@ -560,7 +567,7 @@ def _t7(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"all trees 1<=n<={cap}"
 
 
-@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, None, "connected")
+@_verifier("T8", "planar/outerplanar small-diameter power domination bounds", 7, _HOST_CAP, "connected")
 def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):

@@ -12,7 +12,7 @@ from zfpd.cli import main
 from zfpd.families import (
     are_isomorphic, enumerate_connected, parse_edge_list, parse_graph6, path, star, wheel, write_graph6,
 )
-from zfpd.graph import MAX_ORDER
+from zfpd.graph import MAX_ORDER, Graph
 from zfpd.products import cartesian_product
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -138,20 +138,32 @@ def test_compute_spider_needs_tree(capsys, tmp_path):
     assert "tree" in entry["skipped"]["spider"]
 
 
+def double_star(a, b):
+    """Two adjacent centres carrying ``a`` and ``b`` leaves: a tree that is neither a path nor a spider."""
+    n = 2 + a + b
+    return Graph(n, [(0, 1)] + [(0, v) for v in range(2, 2 + a)] + [(1, v) for v in range(2 + a, n)])
+
+
 def test_compute_skips_parameters_above_their_cap(capsys, tmp_path):
     gpath = tmp_path / "big.g6"
-    gpath.write_text(f"{write_graph6(path(25))}\n{write_graph6(star(21))}\n", encoding="ascii")
+    graphs = (double_star(12, 11), double_star(10, 9), path(25), star(21))
+    gpath.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
     code, out, _ = run(
         capsys, "compute", "--input", str(gpath), "--params", "pathcover,spider", "--format", "json"
     )
     assert code == 0
-    p25, s21 = json.loads(out)["graphs"]
-    assert p25["params"] == {}
-    assert p25["skipped"] == {
+    d25, d21, p25, s21 = json.loads(out)["graphs"]
+    assert d25["params"] == {}
+    assert d25["skipped"] == {
         "pathcover": "path cover search is capped at 24 vertices",
         "spider": "spider search is capped at 20 vertices",
     }
-    assert s21["skipped"] == {"spider": "spider search is capped at 20 vertices"}
+    assert d21["skipped"] == {"spider": "spider search is capped at 20 vertices"}
+    assert d21["params"]["pathcover"]["value"] == 17
+    # A path and a spider above the caps need no search: the whole vertex set is the one part.
+    assert p25["skipped"] == s21["skipped"] == {}
+    assert p25["params"]["pathcover"] == p25["params"]["spider"] == {"value": 1, "witness": [list(range(25))]}
+    assert s21["params"]["spider"] == {"value": 1, "witness": [list(range(21))]}
     assert s21["params"]["pathcover"]["value"] == 19
     gpath.write_text(f"{write_graph6(path(60))}\n", encoding="ascii")
     code, out, _ = run(capsys, "compute", "--input", str(gpath), "--params", "zf,pd,dom,tdom", "--format", "json")
@@ -281,11 +293,13 @@ def test_verify_refuses_every_id_before_building_anything(capsys, monkeypatch):
 
 
 def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch, tmp_path):
-    # T4 and T13 have caps of their own, which no universe file lifts.
+    # T4 and T13 have caps of their own, and T2, T7 and T8 those of the path
+    # cover, spider and planarity searches; no universe file lifts them, even
+    # one that covers every order up to the one asked for.
     from zfpd import families, theorems
 
-    above = tmp_path / "six_to_eight.g6"
-    above.write_text("".join(write_graph6(path(n)) + "\n" for n in (6, 7, 8)), encoding="ascii")
+    above = tmp_path / "six_to_twenty_five.g6"
+    above.write_text("".join(write_graph6(path(n)) + "\n" for n in range(6, 26)), encoding="ascii")
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a universe order was built before the run was refused")
@@ -296,11 +310,27 @@ def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch,
     for args, message in (
         (("--ids", "T13", "--max-n", "6"), "T13 is capped at max_n=5; no universe file lifts it"),
         (("--ids", "T4", "--max-n", "8"), "T4 is capped at max_n=7; no universe file lifts it"),
+        (("--ids", "T2", "--max-n", "25"), "T2 is capped at max_n=24; no universe file lifts it"),
+        (("--ids", "T7", "--max-n", "21"), "T7 is capped at max_n=20; no universe file lifts it"),
+        (("--ids", "T8", "--max-n", "13"), "T8 is capped at max_n=12; no universe file lifts it"),
     ):
         for universe in ((), ("--universe", str(above))):
             for workers in ("1", "2"):
                 code, out, err = run(capsys, "verify", *args, *universe, "--workers", workers)
                 assert (code, out, err) == (2, "", f"error: {message}\n"), (args, universe, workers)
+
+
+def test_verify_out_file_is_json_unless_a_table_is_asked_for(capsys, monkeypatch, tmp_path):
+    # stdout is a terminal, so it gets the table; a file written through --out gets JSON.
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    base = ("verify", "--ids", "T11", "--max-n", "4", "--workers", "1")
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and out.startswith("T11  pass")
+    report = tmp_path / "out.json"
+    assert run(capsys, *base, "--out", str(report)) == (0, "", "")
+    assert [r["theorem"] for r in json.loads(report.read_text())["reports"]] == ["T11"]
+    assert run(capsys, *base, "--out", str(report), "--format", "table") == (0, "", "")
+    assert report.read_text().startswith("T11  pass")
 
 
 def test_verify_runs_a_repeated_id_once(capsys):

@@ -178,10 +178,15 @@ def test_solver_errors():
         total_domination_number(Graph(1))
     with pytest.raises(ValueError, match="^spider number needs a tree$"):
         spider_number(cycle(5))
-    with pytest.raises(ValueError):
-        path_cover_number(path(25))
-    with pytest.raises(ValueError, match="spider search is capped at 20 vertices"):
-        spider_number(star(21))
+    # A cap bounds only a search: a path or a spider above it needs none.  Two
+    # adjacent centres carrying 10 and 9 leaves make a tree of order 21 that is no spider.
+    double_star = Graph(21, [(0, 1)] + [(0, v) for v in range(2, 12)] + [(1, v) for v in range(12, 21)])
+    with pytest.raises(ValueError, match="^path cover search is capped at 24 vertices$"):
+        path_cover_number(cycle(25))
+    assert path_cover_number(path(25)).value == 1
+    with pytest.raises(ValueError, match="^spider search is capped at 20 vertices$"):
+        spider_number(double_star)
+    assert spider_number(star(21)).value == 1
     with pytest.raises(ValueError, match="domination search is capped at 1000000 subsets of one size"):
         domination_number(path(60))
     assert spider_number(path(20)).value == 1

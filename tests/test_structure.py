@@ -79,6 +79,8 @@ def test_has_minor_refuses_hosts_above_the_cap():
     with pytest.raises(ValueError, match="capped at 12 host vertices"):
         has_minor(cartesian_product(path(4), path(5)), complete(5))
     assert has_minor(cartesian_product(path(3), path(4)), complete(3)) is not None
+    # a host with fewer edges than the pattern needs no search, at any order
+    assert has_minor(Graph(13), complete(3)) is None
 
 
 def test_has_minor_against_brute_force():
@@ -130,7 +132,9 @@ def test_planar_examples():
     assert is_planar(wheel(7))
     assert is_planar(wagner_graph()) is False
     assert is_planar(complete(4))
-    with pytest.raises(ValueError):
+    # the edge bound needs no minor search, so it answers above the host cap
+    assert is_planar(complete(13)) is False
+    with pytest.raises(ValueError, match="^planarity test is capped at 12 vertices$"):
         is_planar(path(13))
 
 

@@ -3,6 +3,7 @@ import pickle
 import pytest
 
 from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
+from zfpd import invariants, structure
 from zfpd.graph import Graph
 from zfpd.invariants import power_domination_number
 from zfpd.structure import is_outerplanar
@@ -46,6 +47,12 @@ def test_every_default_cap_is_within_the_own_cap_and_the_enumeration_limit():
             assert default_cap <= built_in[sweeps], tid
         if own_cap is not None:
             assert default_cap <= own_cap, tid
+
+
+def test_an_own_cap_is_the_order_cap_of_the_solver_a_verifier_calls():
+    # T2 calls the path cover search, T7 the spider search and T8 the planarity test.
+    own = {tid: entry[2] for tid, entry in _REGISTRY.items()}
+    assert (own["T2"], own["T7"], own["T8"]) == (invariants._PATH_COVER_CAP, invariants._SPIDER_CAP, structure._HOST_CAP)
 
 
 def test_cap_without_universe_file():
