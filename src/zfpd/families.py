@@ -5,22 +5,25 @@ class of connected graphs (or trees), growing each order from the one
 below with one candidate per orbit of the parent's automorphism group.
 Candidates are deduplicated by a complete isomorphism key computed by colour
 refinement and individualization, the same search that yields the
-automorphism group's generators; each class is then relabeled once by the
-canonical labeling, the lexicographically smallest upper-triangle adjacency
-bitstring over all vertex orderings, which also sorts the classes.  That
-minimum is found one column at a time, merging partial orderings whose
-remaining vertices and bit patterns toward the placed ones are equal.
-Orderings that differ only by an automorphism are not merged, so on trees
-the states multiply and the labelling is slow (ROADMAP.md lists automorphism
-pruning as the open fix).  It is the costlier of the two steps and runs once
-per class, not per candidate.  Both steps work on slices of an
-order, so a process pool can share it out.
+automorphism group's generators.  The key is itself an adjacency, the best
+leaf's labelling of the class, so ``build_classes`` keeps each class in
+those labels, sorted by key; a process pool can share out the key step.
+
+The canonical labelling is the lexicographically smallest upper-triangle
+adjacency bitstring over all vertex orderings.  Its minimum is found one
+column at a time, merging partial orderings whose remaining vertices and bit
+patterns toward the placed ones are equal; orderings that differ only by an
+automorphism are not merged, so on trees the states multiply and the
+labelling is slow.  The enumeration never pays for it: only
+``enumerate_connected`` and ``enumerate_trees``, which yield canonical
+representatives in key order, label a whole order, once per process, and
+the verifiers label only the graphs their reports print.
 
 ``canonical_key``, ``canonical_graph`` and ``are_isomorphic`` run the same
 labelling, whose cost grows with a graph's automorphisms as well as its
 order (the complete binary tree of order 15 takes seconds, of order 31 it
 does not finish).  They refuse a graph of order above ``MAX_TREE_ORDER``
-(12), the largest order the tree enumeration labels, with ``ValueError``.
+(12), the largest order the tree enumeration builds, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -365,10 +368,11 @@ def parse_edge_list(lines: Iterable[str]) -> Graph | None:
 # onto each other mostly leave different vertices unplaced and stay apart, so
 # on trees and other graphs with many automorphisms the states multiply.
 # The key is the canonical form's whole upper triangle, so ``_from_key``
-# rebuilds the graph from it: it fixes every representative's labels (hence
-# its graph6 string) and the order of every universe.  Finding the minimum is
-# the costly part of enumeration, so it runs once per isomorphism class;
-# deduplication and memo lookups use ``_iso_key`` below.
+# rebuilds the graph from it: it fixes the labels (hence the graph6 string)
+# and the order of what ``enumerate_connected`` and ``enumerate_trees`` yield,
+# and the labels a report prints a built-in graph in.  Finding the minimum is
+# costly, so enumeration, deduplication and memo lookups use ``_iso_key``
+# below instead.
 
 
 def _canon(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -564,28 +568,26 @@ def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterat
 # parent's automorphism group give isomorphic children, so only the first of
 # each orbit is tried, with the generators that ``_iso_search`` returns for
 # the parent.  Candidates are deduplicated by ``_iso_key`` (the shard step,
-# ``_expand``), and each class's key, itself the adjacency of one of its
-# members, then pays once for ``_canon`` (the label step, ``_label``).  The
-# ``_canon`` key alone fixes the representative and the sort order, so it
-# does not matter which member of a class is labelled.  Both steps take a
-# slice of their input, so a process pool can share an order out; the serial
-# build runs the same steps on one slice.  Keys travel packed into one int
-# each (``_pack``), which takes about a third of a tuple's memory in the
-# pool's messages and in the parent that merges them.
+# ``_expand``), and each key, the adjacency of one member of its class, is
+# the class's representative: it is its own ``_iso_key``, and the classes are
+# sorted by it.  The shard step takes a slice of the parents, so a process
+# pool can share an order out; the serial build runs it on one slice.  Keys
+# travel packed into one int each (``_pack``), which takes about a third of a
+# tuple's memory in the pool's messages and in the parent that merges them.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Yield one canonical representative per connected isomorphism class of order ``n``.
+    """Yield one canonical representative per connected isomorphism class of order ``n``, in ``canonical_key`` order.
 
     Built-in enumeration covers ``1 <= n <= 8``; larger orders must come from
     external graph6 files.
     """
-    yield from build_classes("connected", n)
+    yield from _labelled("connected", n)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """Yield one canonical representative per tree isomorphism class of order ``n``."""
-    yield from build_classes("trees", n)
+    """Yield one canonical representative per tree isomorphism class of order ``n``, in ``canonical_key`` order."""
+    yield from _labelled("trees", n)
 
 
 def _attach_vertex(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -620,19 +622,10 @@ def _unpack(x: int, width: int, count: int) -> tuple[int, ...]:
 
 
 def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> set[int]:
-    """Shard step: the packed ``_iso_key`` of every class reached from ``parents``.
-
-    A key is the adjacency of the best leaf's labelling, so it stands for
-    its class in the label step too.
-    """
+    """Shard step: the packed ``_iso_key`` of every class reached from ``parents``."""
     extend = _EXTEND[kind][0]
     n = len(parents[0]) + 1
     return {_pack(_iso_key(child), n) for adj in parents for child in extend(adj, _iso_search(adj)[1])}
-
-
-def _label(classes: Sequence[int], n: int) -> list[int]:
-    """Label step: the packed ``_canon`` key of each packed adjacency of order ``n``."""
-    return [_pack(_canon(_unpack(adj, n, n)), n) for adj in classes]
 
 
 def _from_key(key: tuple[int, ...], n: int) -> Graph:
@@ -662,19 +655,22 @@ def _slices(items: list, shards: int) -> list[list]:
     return [items[i::shards] for i in range(min(shards, len(items)))]
 
 
-# (kind, order) -> classes, sorted by ``_canon`` key; filled one order at a time
+# (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one order at a time
 _BUILT: dict[tuple[str, int], tuple[Graph, ...]] = {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)}
+# (kind, order) -> the same classes in canonical labels, sorted by ``_canon`` key; filled by ``_labelled``
+_LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
 
 def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[Graph, ...]:
     """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
 
-    Missing orders are built upward from the highest one cached, each
-    order's shard and label steps split ``shards`` ways and run in ``pool``
-    (anything with ``submit``) or, without one, in this process.  The result
-    does not depend on ``pool`` or ``shards``.  An unknown ``kind``, or an
-    order above its cap (``MAX_BUILTIN_ORDER`` or ``MAX_TREE_ORDER``), is
-    refused with ``ValueError``.
+    Each class is the graph whose adjacency is its ``_iso_key``, and the
+    classes are sorted by it.  Missing orders are built upward from the
+    highest one cached, each order's shard step split ``shards`` ways and run
+    in ``pool`` (anything with ``submit``) or, without one, in this process.
+    The result does not depend on ``pool`` or ``shards``.  An unknown
+    ``kind``, or an order above its cap (``MAX_BUILTIN_ORDER`` or
+    ``MAX_TREE_ORDER``), is refused with ``ValueError``.
     """
     if kind not in _EXTEND:
         raise ValueError(f"unknown kind {kind!r} (choose from {', '.join(_EXTEND)})")
@@ -682,10 +678,16 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
         raise ValueError(f"built-in {kind} enumeration covers 1..{_EXTEND[kind][1]}, not {n}")
     if (kind, n) not in _BUILT:
         parents = [g.adj for g in build_classes(kind, n - 1, pool, shards)]
-        classes: set[int] = set()
+        keys: set[int] = set()
         for found in _run(pool, _expand, [(part, kind) for part in _slices(parents, shards)]):
-            classes |= found
-        labelled = _run(pool, _label, [(part, n) for part in _slices(list(classes), shards)])
-        keys = sorted(key for part in labelled for key in part)
-        _BUILT[kind, n] = tuple(_from_key(_unpack(key, n, n - 1), n) for key in keys)
+            keys |= found
+        _BUILT[kind, n] = tuple(Graph.from_rows(_unpack(key, n, n)) for key in sorted(keys))
     return _BUILT[kind, n]
+
+
+def _labelled(kind: str, n: int) -> tuple[Graph, ...]:
+    """``build_classes(kind, n)`` relabelled canonically and sorted by ``_canon`` key, labelled once per process."""
+    if (kind, n) not in _LABELLED:
+        keys = sorted(_canon(g.adj) for g in build_classes(kind, n))
+        _LABELLED[kind, n] = tuple(_from_key(key, n) for key in keys)
+    return _LABELLED[kind, n]

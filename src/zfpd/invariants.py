@@ -43,8 +43,9 @@ needs none comes first: zero forcing's minimum-degree shortcut, a path, a
 spider.  The ``k``-subset searches share one guard, ``_sweepable``, which
 refuses a size ``k`` above 256 or with more than 1,000,000 subsets of ``n``
 vertices; the partition searches refuse a graph above the path cover or
-spider cap.  ``theorems`` imports those two order caps, so ``verify``
-refuses a run above one before any work.  A refusal is a ``ValueError``
+spider cap.  ``theorems`` imports those two order caps, and the largest
+order at which no size is refused, so ``verify`` refuses a run above one
+before any work.  A refusal is a ``ValueError``
 whose message ``zfpd compute`` reports, unchanged, under ``skipped``.
 """
 
@@ -75,6 +76,10 @@ _SUBSET_CAP = 1_000_000
 # The k-subset searches recurse once per chosen vertex; this keeps them well
 # inside Python's recursion limit, and Z(K_257) = 256 takes about 3 s.
 _SET_CAP = 256
+# The largest order at which ``_sweepable`` refuses no size, C(n, n // 2)
+# being the largest C(n, k): 22.  A full minimum over k-subsets (power
+# domination, domination, total domination) never fails up to it.
+_FULL_SWEEP_CAP = max(n for n in range(_SET_CAP + 1) if comb(n, n // 2) <= _SUBSET_CAP)
 
 Witness = Union[int, tuple[tuple[int, ...], ...]]
 W = TypeVar("W")

@@ -24,12 +24,28 @@ the built-in enumeration that no file covers, and it needs nothing built,
 so the CLI calls it for every id before any work.  An own cap is the
 verifier's limit or the order cap of a solver it calls, and no file lifts
 it: T4's claim is about order <= 7, T13 pairs every factor with every
-factor, T5, T6, T11 and T14 read no universe, and T2, T7 and T8 call the
-path cover, spider and planarity searches, whose caps they import.  Every
+factor, T5, T6, T11 and T14 read no universe, T2, T7 and T8 call the
+path cover, spider and planarity searches, whose caps they import, and T3
+and T12 take full k-subset minima on every graph, so they stop at the
+largest order at which the subset searches refuse no size.  Every
 other verifier is limited only by its universe, whose built-in orders stop
 where ``families`` says.  A file covers an order only for the kinds of
 graph it holds there, which ``Universe`` records once, when it reads the
 files.
+
+A built-in order holds its graphs in the labels its enumeration found them
+in (``families.build_classes``), which no report shows.  ``Universe.graph6``
+is the one place that decides how a graph is written, and ``fail``, every
+note and every product tag go through it: a graph of a built-in order in its
+canonical labels, the graph6 string reports have always printed, and any
+other graph (a file graph, a family member, a product) as it is.  Only the
+graphs a report writes pay for the canonical labelling.  The product
+verifiers (T13, T15, T16) pair the factors in the labels they are shown in,
+so a product is written as it always was.  A search that reports one
+witness (T9, T10, T16) takes it from the smallest order with any hit: at a
+built-in order, the hit with the least canonical key, whatever order the
+graphs are swept in; at a file order, the first hit in file order, and the
+search stops there.
 """
 
 from __future__ import annotations
@@ -37,12 +53,17 @@ from __future__ import annotations
 import copy
 import os
 import time
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, bits, is_path, is_tree
-from .families import (
+# enumerate_connected and enumerate_trees are unused here but stay module
+# attributes: perfbench/tracer.py wraps theorems.enumerate_connected and
+# theorems.enumerate_trees.
+from .families import (  # noqa: F401
     _EXTEND,
     build_classes,
+    canonical_graph,
     complete,
     complete_multipartite,
     cycle,
@@ -57,6 +78,7 @@ from .families import (
     write_graph6,
 )
 from .invariants import (
+    _FULL_SWEEP_CAP,
     _PATH_COVER_CAP,
     _SPIDER_CAP,
     _induced_path_masks,
@@ -90,10 +112,16 @@ class VerifyReport:
     """One verifier's outcome; the verifier fills it in as it sweeps.
 
     A verifier adds to ``checked`` and ``notes`` directly and records a
-    counterexample through ``fail``, which stores the graph as graph6.
+    counterexample through ``fail``, which stores the graph as graph6,
+    written by ``show``: ``Universe.graph6`` during a ``verify`` run.  The
+    report pickles and converts to a dict without it.
     """
 
-    def __init__(self, theorem: str, claim: str) -> None:
+    _show: Callable[[Graph], str] = staticmethod(write_graph6)
+
+    def __init__(self, theorem: str, claim: str, show: Callable[[Graph], str] | None = None) -> None:
+        if show is not None:
+            self._show = show
         self.theorem = theorem
         self.claim = claim
         self.universe = ""
@@ -107,11 +135,15 @@ class VerifyReport:
         return not self.failures
 
     def fail(self, g: Graph, expected: str, observed: str) -> None:
-        self.failures.append(Failure(write_graph6(g), expected, observed))
+        self.failures.append(Failure(self._show(g), expected, observed))
+
+    def __getstate__(self) -> dict:
+        # a pool worker sends the report back without the universe ``show`` reads
+        return {k: v for k, v in vars(self).items() if k != "_show"}
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **self.__getstate__(),
             "failures": [f._asdict() for f in self.failures],
             "notes": list(self.notes),
             "elapsed_s": round(self.elapsed_s, 3),
@@ -128,11 +160,13 @@ class Universe:
     built-in trees of theirs, which is how orders beyond the built-in cap
     reach the harness.  An order a file holds no graph of that kind for,
     such as order 13 for the trees when the file holds only the 13-cycle,
-    still comes from the built-in enumeration.  Files are parsed and
-    filtered here, once: graphs that are not connected, the order-0 graph
-    among them, are dropped, and so is a repeat of a graph already read,
-    from the same file or another; isomorphic relabelings are kept.  A
-    built-in order is enumerated on first use, or before it by ``build``.
+    still comes from the built-in enumeration: ``families.build_classes``'s
+    tuple, in the labels the enumeration found, whose graphs ``graph6``
+    writes in canonical labels.  Files are parsed and filtered here, once:
+    graphs that are not connected, the order-0 graph among them, are
+    dropped, and so is a repeat of a graph already read, from the same file
+    or another; isomorphic relabelings are kept.  A built-in order is
+    enumerated on first use, or before it by ``build``.
     ``connected`` and ``trees`` return the same tuple on every call.
     ``between(lo, hi)`` yields the connected graphs of orders ``lo`` to
     ``hi``, asking ``connected`` for one order at a time.
@@ -155,6 +189,8 @@ class Universe:
                         held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                         self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
         self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
+        # built-in graph -> its canonical relabelling, for the graphs a report writes
+        self._canonical: dict[Graph, Graph] = {}
 
     def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
         """Build the ``kind`` orders ``1..top`` not yet held.
@@ -184,7 +220,7 @@ class Universe:
     def connected(self, n: int) -> tuple[Graph, ...]:
         held = self._orders["connected"]
         if n not in held:
-            held[n] = tuple(enumerate_connected(n))
+            held[n] = build_classes("connected", n)
         return held[n]
 
     def between(self, lo: int, hi: int) -> Iterator[Graph]:
@@ -194,7 +230,7 @@ class Universe:
     def trees(self, n: int) -> tuple[Graph, ...]:
         held = self._orders["trees"]
         if n not in held:
-            held[n] = tuple(enumerate_trees(n))
+            held[n] = build_classes("trees", n)
         return held[n]
 
     def source(self, n: int) -> str:
@@ -204,6 +240,22 @@ class Universe:
     def has_file_for(self, kind: str, n: int) -> bool:
         """True iff a file supplies graphs of ``kind`` ("connected" or "trees") at order ``n``."""
         return n in self._names[kind]
+
+    def shown(self, g: Graph) -> Graph:
+        """``g`` in the labels a report shows it in: canonical if it is a graph of a built-in order, else ``g``."""
+        for kind, held in self._orders.items():
+            order = () if self.has_file_for(kind, g.n) else held.get(g.n, ())
+            # A built-in order is sorted by adjacency; an equal graph from elsewhere is not it.
+            at = bisect_left(order, g.adj, key=lambda h: h.adj)
+            if at < len(order) and order[at] is g:
+                if g not in self._canonical:
+                    self._canonical[g] = canonical_graph(g)
+                return self._canonical[g]
+        return g
+
+    def graph6(self, g: Graph) -> str:
+        """How a report writes ``g``: the graph6 string of ``shown(g)``."""
+        return write_graph6(self.shown(g))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +356,7 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
         universe = Universe()
     cap = _cap(tid, max_n, universe)
     claim, _, _, _, fn = _REGISTRY[tid]
-    report = VerifyReport(tid, claim)
+    report = VerifyReport(tid, claim, universe.graph6)
     start = time.perf_counter()
     report.universe = fn(report, universe, cap)
     report.elapsed_s = time.perf_counter() - start
@@ -328,6 +380,18 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
         if tops:
             universe.build(kind, max(tops), pool, shards)
     return [universe.part(kind, cap) for kind, cap in zip(kinds, caps)]
+
+
+def _searching(u: Universe, hits: list[Graph], g: Graph) -> bool:
+    """Whether a witness search with ``hits`` so far still tests ``g``.
+
+    It tests every graph up to the order of its first hit, and at a built-in
+    order the rest of that order too, so that the hit it reports, the least
+    by canonical key (``min(hits, key=u.graph6)``: for one order, graph6
+    strings of canonical forms sort as their keys), does not depend on the
+    order of the sweep.  At a file order it stops at the first hit.
+    """
+    return not hits or (g.n == hits[0].n and not u.has_file_for("connected", g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +434,7 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 5<=n<={cap}"
 
 
-@_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, None, "connected")
+@_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, _FULL_SWEEP_CAP, "connected")
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[str] = []
     for g in u.between(1, cap):
@@ -386,7 +450,7 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
             )
         # Weaker reading: "power domination equals domination" instead of both 1.
         if (gp == gamma) != lhs:
-            weaker_bad.append(write_graph6(g))
+            weaker_bad.append(u.graph6(g))
     if weaker_bad:
         run.notes.append(
             f"weaker reading (power domination = domination iff max degree n-1) fails on "
@@ -414,7 +478,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
         if g.n <= 5:
             run.fail(g, "power domination number 1 (order <= 5)", "needs >= 2")
         elif g.n == 6:
-            two_at_six.append(write_graph6(g))
+            two_at_six.append(u.graph6(g))
         if twin_free:
             run.fail(
                 g,
@@ -596,7 +660,7 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T9", "large maximum degree keeps the power domination number small", 8, None, "connected")
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
-    witness = None
+    hits: list[Graph] = []
     for g in u.between(1, cap):
         run.checked += 1
         delta = g.degree_stats()[1]
@@ -614,11 +678,12 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
                     "max degree in {n-4, n-3}: power domination number <= 2",
                     str(_gp(g)),
                 )
-        if witness is None and delta == g.n - 5 and not _pd_at_most(g, 2):
-            witness = g
-    if witness is not None:
+        if delta == g.n - 5 and _searching(u, hits, g) and not _pd_at_most(g, 2):
+            hits.append(g)
+    if hits:
+        witness = min(hits, key=u.graph6)
         run.notes.append(
-            f"witness: {write_graph6(witness)} has max degree n-5 and power domination "
+            f"witness: {u.graph6(witness)} has max degree n-5 and power domination "
             f"number {_gp(witness)} (re-checked standalone)"
         )
     else:
@@ -626,32 +691,36 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}; witness search for max degree n-5"
 
 
+def _outside_pairs(g: Graph) -> Iterator[tuple[int, int, int, bool, bool]]:
+    """``(v, w1, w2, v power dominates, w1 and w2 are not twins)`` for each vertex ``v`` of degree n-3."""
+    for v in range(g.n):
+        if g.degree(v) == g.n - 3:
+            w1, w2 = bits(g.full_mask & ~g.closed_neighbors(v))
+            yield v, w1, w2, is_power_dominating_set(g, 1 << v), not g.are_twins(w1, w2)
+
+
 @_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, None, "connected")
 def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
-    witness = None
+    hits: list[Graph] = []
     for g in u.between(4, cap):
-        hits = [v for v in range(g.n) if g.degree(v) == g.n - 3]
-        if not hits:
+        pairs = list(_outside_pairs(g))
+        if not pairs:
             continue
         run.checked += 1
-        all_twins = True
-        for v in hits:
-            w1, w2 = bits(g.full_mask & ~g.closed_neighbors(v))
-            lhs = is_power_dominating_set(g, 1 << v)
-            rhs = not g.are_twins(w1, w2)
-            if lhs != rhs:
-                run.fail(
-                    g,
-                    f"vertex {v} (degree n-3) power dominates iff {w1},{w2} are not twins",
-                    f"power_dominates={lhs}, twins={not rhs}",
-                )
-            if rhs:
-                all_twins = False
-        if witness is None and all_twins and _pd_at_most(g, 1):
-            witness = g
-    if witness is not None:
+        if any(lhs != rhs for *_, lhs, rhs in pairs):
+            # The vertex labels must be those of the graph6 string the failure prints.
+            for v, w1, w2, lhs, rhs in _outside_pairs(u.shown(g)):
+                if lhs != rhs:
+                    run.fail(
+                        g,
+                        f"vertex {v} (degree n-3) power dominates iff {w1},{w2} are not twins",
+                        f"power_dominates={lhs}, twins={not rhs}",
+                    )
+        if not any(rhs for *_, rhs in pairs) and _searching(u, hits, g) and _pd_at_most(g, 1):
+            hits.append(g)
+    if hits:
         run.notes.append(
-            f"converse-failure witness: {write_graph6(witness)} has power domination "
+            f"converse-failure witness: {min(map(u.graph6, hits))} has power domination "
             "number 1 although every degree n-3 vertex has a twin outside pair"
         )
     else:
@@ -696,7 +765,7 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"(n-3)-regular connected graphs 5<=n<={cap} (cycle-union complements)"
 
 
-@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, None, "connected")
+@_verifier("T12", "total domination number 2 iff the complement diameter exceeds 2", 7, _FULL_SWEEP_CAP, "connected")
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(3, cap):
         run.checked += 1
@@ -716,7 +785,7 @@ def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T13", "lexicographic product power domination formula", 4, 5, "connected")
 def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = list(u.between(2, cap))
+    factors = [u.shown(g) for g in u.between(2, cap)]
     pairs = [(g, h) for g in factors for h in factors]
     extras = [
         (path(2), h_graph()),
@@ -732,7 +801,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
         if got != exp:
             run.fail(
                 prod,
-                f"power domination {exp} for {write_graph6(g)} o {write_graph6(h)} "
+                f"power domination {exp} for {u.graph6(g)} o {u.graph6(h)} "
                 f"(right factor power domination {gp_h})",
                 str(got),
             )
@@ -757,8 +826,8 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T15", "Cartesian product power domination bounds", 5, None, "connected")
 def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = list(u.between(2, cap))
-    small = list(u.between(2, 3))
+    factors = [u.shown(g) for g in u.between(2, cap)]
+    small = [u.shown(g) for g in u.between(2, 3)]
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
     for g, h in pairs:
@@ -767,7 +836,7 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
         gp_prod = _gp(prod)
         gp_g = _gp(g)
         gp_h = _gp(h)
-        pair_tag = f"{write_graph6(g)} box {write_graph6(h)}"
+        pair_tag = f"{u.graph6(g)} box {u.graph6(h)}"
         if max(gp_g, gp_h) > gp_prod:
             run.fail(
                 prod,
@@ -859,9 +928,10 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
 @_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, None, "connected")
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
-    witness = None
+    hits: list[Graph] = []
     # One sweep serves the edge-product bound (power domination 1) and the
-    # jump search (power domination 2), which stops at its first witness.
+    # jump search (power domination 2), which stops after the order of its
+    # first witness (see ``_searching``).
     for g in u.between(1, cap):
         if _pd_at_most(g, 1):
             run.checked += 1
@@ -872,11 +942,11 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     "power domination 1 implies the product with an edge needs <= 2",
                     str(_gp(prod)),
                 )
-        elif witness is None and _pd_at_most(g, 2):
+        elif _searching(u, hits, g) and _pd_at_most(g, 2):
             run.checked += 1
             if _gp(cartesian_product(g, p2)) == 3:
-                witness = g
-    factors = list(u.between(2, 5))
+                hits.append(g)
+    factors = [u.shown(g) for g in u.between(2, 5)]
     gamma = {g: _gamma(g) for g in factors}
     pendant = {g: _pendant_path_dominatable(g) for g in factors}
     for g in factors:
@@ -895,14 +965,15 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             if actual != pred:
                 run.fail(
                     prod,
-                    f"{write_graph6(g)} box {write_graph6(h)}: product power domination 1 "
+                    f"{u.graph6(g)} box {u.graph6(h)}: product power domination 1 "
                     f"iff the structural characterization holds ({pred})",
                     f"power_domination_1={actual}",
                 )
-    if witness is not None:
+    if hits:
+        witness = min(hits, key=u.graph6)
         _recheck_power_domination(cartesian_product(witness, p2), 3)
         run.notes.append(
-            f"witness: {write_graph6(witness)} has power domination number 2 and its "
+            f"witness: {u.graph6(witness)} has power domination number 2 and its "
             "product with an edge needs 3 (re-checked standalone)"
         )
     else:

@@ -292,10 +292,26 @@ def test_verify_refuses_every_id_before_building_anything(capsys, monkeypatch):
             assert (code, out, err) == (2, "", f"error: {message}\n"), (ids, workers)
 
 
+def test_verify_labels_canonically_only_what_it_prints(capsys, monkeypatch):
+    # These verifiers print no graph at their default caps, so a run never
+    # needs the canonical labelling, serial or pooled.
+    from zfpd import families
+
+    def unreachable(adj):
+        raise AssertionError("a graph was labelled canonically")
+
+    monkeypatch.setattr(families, "_canon", unreachable)
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--ids", "T1,T2,T7,T12", "--workers", workers, "--format", "json")
+        assert (code, err) == (0, ""), workers
+        assert [r["checked"] for r in json.loads(out)["reports"]] == [996, 986, 95, 994]
+
+
 def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch, tmp_path):
-    # T4 and T13 have caps of their own, and T2, T7 and T8 those of the path
-    # cover, spider and planarity searches; no universe file lifts them, even
-    # one that covers every order up to the one asked for.
+    # T4 and T13 have caps of their own, T2, T7 and T8 those of the path
+    # cover, spider and planarity searches, and T3 and T12 the largest order
+    # the subset searches sweep whole; no universe file lifts them, even one
+    # that covers every order up to the one asked for.
     from zfpd import families, theorems
 
     above = tmp_path / "six_to_twenty_five.g6"
@@ -313,6 +329,8 @@ def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch,
         (("--ids", "T2", "--max-n", "25"), "T2 is capped at max_n=24; no universe file lifts it"),
         (("--ids", "T7", "--max-n", "21"), "T7 is capped at max_n=20; no universe file lifts it"),
         (("--ids", "T8", "--max-n", "13"), "T8 is capped at max_n=12; no universe file lifts it"),
+        (("--ids", "T3", "--max-n", "23"), "T3 is capped at max_n=22; no universe file lifts it"),
+        (("--ids", "T12", "--max-n", "23"), "T12 is capped at max_n=22; no universe file lifts it"),
     ):
         for universe in ((), ("--universe", str(above))):
             for workers in ("1", "2"):

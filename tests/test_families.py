@@ -389,8 +389,8 @@ def test_tree_counts():
 
 
 def test_enumeration_order_is_canonical():
-    # Universe order decides which witness T10 and T16 report first, so it is
-    # pinned here: canonical representatives in strictly increasing key order.
+    # The public enumeration's contract: canonical representatives in
+    # strictly increasing key order (the verifiers read build_classes instead).
     universes = [enumerate_connected(n) for n in range(1, 8)]
     universes += [enumerate_trees(n) for n in range(1, 10)]
     for universe in universes:
@@ -455,8 +455,8 @@ def test_orbit_pruned_candidates_reach_every_class():
 def test_pool_build_equals_the_serial_build(monkeypatch):
     from zfpd.theorems import Universe
 
-    serial_connected = [tuple(enumerate_connected(n)) for n in range(1, 7)]
-    serial_trees = [tuple(enumerate_trees(n)) for n in range(1, 9)]
+    serial_connected = [build_classes("connected", n) for n in range(1, 7)]
+    serial_trees = [build_classes("trees", n) for n in range(1, 9)]
     # An empty cache, so the orders are built again, through the pool.
     monkeypatch.setattr(families, "_BUILT", {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)})
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -466,3 +466,22 @@ def test_pool_build_equals_the_serial_build(monkeypatch):
     assert len(families._BUILT) == 6 + 8  # every order was built again
     assert [u.connected(n) for n in range(1, 7)] == serial_connected  # Graph equality is adjacency equality
     assert [u.trees(n) for n in range(1, 9)] == serial_trees
+
+
+def test_built_classes_are_their_own_iso_keys_in_key_order():
+    for kind, top in (("connected", 7), ("trees", 9)):
+        for n in range(1, top + 1):
+            classes = build_classes(kind, n)
+            assert all(_iso_key(g.adj) == g.adj for g in classes), (kind, n)
+            assert all(a.adj < b.adj for a, b in zip(classes, classes[1:])), (kind, n)
+
+
+def test_universe_orders_hold_the_classes_that_enumeration_labels():
+    from zfpd.theorems import Universe
+
+    # enumeration yields in key order, so equal lists mean equal sets of classes, each once
+    u = Universe()
+    for n in range(1, 8):
+        assert sorted(canonical_key(g) for g in u.connected(n)) == [canonical_key(g) for g in enumerate_connected(n)]
+    for n in range(1, 10):
+        assert sorted(canonical_key(t) for t in u.trees(n)) == [canonical_key(t) for t in enumerate_trees(n)]

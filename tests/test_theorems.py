@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 
@@ -50,9 +51,19 @@ def test_every_default_cap_is_within_the_own_cap_and_the_enumeration_limit():
 
 
 def test_an_own_cap_is_the_order_cap_of_the_solver_a_verifier_calls():
-    # T2 calls the path cover search, T7 the spider search and T8 the planarity test.
+    # T2 calls the path cover search, T7 the spider search and T8 the planarity
+    # test; T3 and T12 take full k-subset minima on every graph.
     own = {tid: entry[2] for tid, entry in _REGISTRY.items()}
     assert (own["T2"], own["T7"], own["T8"]) == (invariants._PATH_COVER_CAP, invariants._SPIDER_CAP, structure._HOST_CAP)
+    assert own["T3"] == own["T12"] == invariants._FULL_SWEEP_CAP
+
+
+def test_the_full_sweep_cap_is_the_largest_order_whose_subset_sizes_are_all_sweepable():
+    top = invariants._FULL_SWEEP_CAP
+    assert all(invariants._sweepable(top, k, "test") for k in range(top + 1))
+    with pytest.raises(ValueError, match="subsets of one size"):
+        for k in range(top + 2):
+            invariants._sweepable(top + 1, k, "test")
 
 
 def test_cap_without_universe_file():
@@ -309,6 +320,63 @@ def test_report_pickles_and_keeps_its_json_keys():
     assert (d["checked"], d["notes"], d["passed"]) == (2, ["no witness up to n=4"], False)
     with pytest.raises(AttributeError):
         report.failures[0].observed = "Z = 1"
+
+
+def test_a_pickled_report_leaves_its_universe_behind():
+    report = verify("T8", max_n=5)
+    back = pickle.loads(pickle.dumps(report))
+    assert "_show" in vars(report) and "_show" not in vars(back)
+    assert back.to_dict() == report.to_dict()
+    assert sorted(report.to_dict()) == ["checked", "claim", "elapsed_s", "failures", "notes", "passed", "theorem", "universe"]
+
+
+class _Backwards(Universe):
+    """A universe whose verifiers sweep every built-in order backwards."""
+
+    def connected(self, n):
+        return super().connected(n)[::-1]
+
+    def trees(self, n):
+        return super().trees(n)[::-1]
+
+
+def test_reports_do_not_depend_on_the_order_of_a_built_in_universe():
+    for tid in ("T3", "T4", "T8", "T10", "T16"):
+        forward = verify(tid).to_dict()
+        backward = verify(tid, universe=_Backwards()).to_dict()
+        forward.pop("elapsed_s")
+        backward.pop("elapsed_s")
+        assert backward == forward, tid
+    # the first converse-failure witness in canonical order, whatever the sweep order
+    assert verify("T10", universe=_Backwards()).notes[0].startswith("converse-failure witness: CF has")
+
+
+def test_printed_universe_graphs_are_in_canonical_labels():
+    r = {tid: verify(tid) for tid in ("T3", "T4", "T8", "T10", "T16")}
+    printed = r["T3"].notes[0].split("e.g. ")[1].split(", ")
+    printed += r["T4"].notes[0].split("(")[1].rstrip(")").split(", ")
+    printed += [f.graph6 for f in r["T8"].failures]
+    printed.append(r["T10"].notes[0].split()[2])
+    # T16's counterexamples are products; their factors head the expectation
+    printed += [g6 for f in r["T16"].failures for g6 in f.expected.split(":")[0].split(" box ")]
+    assert len(printed) == 3 + 4 + 12 + 1 + 8
+    for g6 in printed:
+        assert write_graph6(canonical_graph(parse_graph6(g6))) == g6
+
+
+def test_t10_names_the_vertices_of_the_graph_it_prints(monkeypatch):
+    # Claim every degree n-3 vertex fails, so T10 reports each one; its labels
+    # must be those of the printed graph6 string, not of the built graph.
+    import zfpd.theorems as theorems
+
+    monkeypatch.setattr(theorems, "is_power_dominating_set", lambda g, s: False)
+    report = verify("T10", max_n=5)
+    assert report.failures
+    for f in report.failures:
+        g = parse_graph6(f.graph6)
+        v, w1, w2 = map(int, re.match(r"vertex (\d+) \(degree n-3\) power dominates iff (\d+),(\d+) ", f.expected).groups())
+        assert g.degree(v) == g.n - 3
+        assert {w1, w2} == set(range(g.n)) - {v} - {u for u in range(g.n) if g.has_edge(u, v)}
 
 
 def test_universe_files_override_orders(tmp_path):
