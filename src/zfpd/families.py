@@ -2,12 +2,15 @@
 
 The enumeration side produces exactly one representative per isomorphism
 class of connected graphs (or trees), growing each order from the one
-below with one candidate per orbit of the parent's automorphism group.
-Candidates are deduplicated by a complete isomorphism key computed by colour
-refinement and individualization, the same search that yields the
-automorphism group's generators.  The key is itself an adjacency, the best
-leaf's labelling of the class, so ``build_classes`` keeps each class in
-those labels, sorted by key; a process pool can share out the key step.
+below by canonical augmentation: one candidate per orbit of the parent's
+automorphism group, kept only if its new vertex is the class's canonical
+deletion, so no key of another class is ever looked up.  A complete
+isomorphism key, found by colour refinement and individualization, decides
+the canonical deletion in the same search that yields the automorphism
+group's generators, which the next order reuses.  The key is itself an
+adjacency, the best leaf's labelling of the class, so ``build_classes``
+keeps each class in those labels, sorted by key; a process pool can share
+out the parents.
 
 The canonical labelling is the lexicographically smallest upper-triangle
 adjacency bitstring over all vertex orderings.  Its minimum is found one
@@ -440,13 +443,15 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # In the style of McKay and Piperno, "Practical graph isomorphism, II"
 # (arXiv:1301.1493).  Vertices start in cells by degree; ``_refine`` splits
 # cells until the partition is equitable, ordering the new cells by their
-# neighbour counts, so the ordered partition depends only on the graph.  A
+# neighbour counts, so the ordered partition depends only on the graph; each
+# round counts neighbours only in the cells that the round before split.  A
 # partition with a non-singleton cell branches on each vertex of the first
 # smallest such cell; a twin of a vertex already tried gives the same leaves
 # (swapping the two is an automorphism fixing the partition) and is skipped.
 # Every discrete leaf orders the vertices, and the key is the smallest
-# relabelled adjacency tuple over all leaves.  Two graphs share the key iff
-# they are isomorphic; unlike ``canonical_key`` its order means nothing.
+# relabelled adjacency tuple over all leaves, and that leaf's vertex order
+# comes with it.  Two graphs share the key iff they are isomorphic; unlike
+# ``canonical_key`` its order means nothing.
 #
 # The same search generates the automorphism group: each skipped twin swap
 # is a generator, and so is the map from the first leaf to any later leaf
@@ -455,18 +460,22 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # searched, and there it is one of the later leaves, so nothing is missed.
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    # A vertex's signature packs its neighbour count in each cell, first cell
-    # highest, into one int: counts stay below 1 << width.
+def _refine(adj: tuple[int, ...], cells: list[list[int]], against: list[list[int]]) -> list[list[int]]:
+    # ``against`` holds the cells that the last split made, less the last
+    # piece of each split: vertices of one cell agree on their count into any
+    # other cell, and into a last piece, whose count is the old cell's less
+    # the other pieces'.  A vertex's signature packs its neighbour count in
+    # each of them, first highest, into one int: counts stay below 1 << width.
     width = len(adj).bit_length()
-    while True:
+    while against:
         masks = []
-        for cell in cells:
+        for cell in against:
             m = 0
             for v in cell:
                 m |= 1 << v
             masks.append(m)
         out = []
+        against = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -478,14 +487,15 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 for m in masks:
                     sig = sig << width | (row & m).bit_count()
                 groups.setdefault(sig, []).append(v)
-            out.extend(groups[sig] for sig in sorted(groups))
-        if len(out) == len(cells):
-            return out
+            pieces = [groups[sig] for sig in sorted(groups)]
+            out.extend(pieces)
+            against.extend(pieces[:-1])
         cells = out
+    return cells
 
 
-def _search(adj: tuple[int, ...], cells: list[list[int]], first: list, gens: set) -> tuple[int, ...]:
-    """Smallest leaf tuple below ``cells``; ``first`` keeps the first leaf, ``gens`` gathers generators."""
+def _search(adj: tuple[int, ...], cells: list[list[int]], first: list, gens: set) -> tuple[tuple[int, ...], list[int]]:
+    """Smallest leaf tuple below ``cells`` and its leaf's order; ``first`` keeps the first leaf, ``gens`` gathers generators."""
     if len(cells) == len(adj):
         order = [cell[0] for cell in cells]
         key = _relabel(adj, order)
@@ -496,7 +506,7 @@ def _search(adj: tuple[int, ...], cells: list[list[int]], first: list, gens: set
             for old, new in zip(first[1], order):
                 perm[old] = new
             gens.add(tuple(perm))
-        return key
+        return key, order
     at = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)[1]
     best = None
     tried: list[int] = []
@@ -510,20 +520,21 @@ def _search(adj: tuple[int, ...], cells: list[list[int]], first: list, gens: set
             continue
         tried.append(v)
         rest = [w for w in cells[at] if w != v]
-        key = _search(adj, _refine(adj, cells[:at] + [[v], rest] + cells[at + 1 :]), first, gens)
-        if best is None or key < best:
-            best = key
+        leaf = _search(adj, _refine(adj, cells[:at] + [[v], rest] + cells[at + 1 :], [[v]]), first, gens)
+        if best is None or leaf[0] < best[0]:
+            best = leaf
     return best
 
 
-def _iso_search(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """``_iso_key`` of ``adj`` and generators of its automorphism group (``perm[v]`` is ``v``'s image)."""
+def _iso_search(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]:
+    """``_iso_key`` of ``adj``, generators of its automorphism group (``perm[v]`` is ``v``'s image) and the leaf order that relabels ``adj`` into the key."""
     by_degree: dict[int, list[int]] = {}
     for v, row in enumerate(adj):
         by_degree.setdefault(row.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
     gens: set[tuple[int, ...]] = set()
-    key = _search(adj, _refine(adj, [by_degree[d] for d in sorted(by_degree)]), [], gens)
-    return key, list(gens)
+    key, order = _search(adj, _refine(adj, cells, cells[:-1]), [], gens)
+    return key, list(gens), order
 
 
 def _iso_key(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -560,20 +571,26 @@ def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterat
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 #
-# Classes of order n are grown from the classes of order n - 1 by a candidate
-# generator.  Every connected graph has a vertex whose removal keeps it
+# Classes of order n are grown from the classes of order n - 1 by canonical
+# augmentation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+# 1998).  Every connected graph has a vertex whose deletion keeps it
 # connected, so attaching a new last vertex to a nonempty subset of every
 # (n-1)-class reaches every connected n-class; attaching a leaf to a vertex
 # does the same for trees.  Two subsets (or vertices) in one orbit of the
 # parent's automorphism group give isomorphic children, so only the first of
-# each orbit is tried, with the generators that ``_iso_search`` returns for
-# the parent.  Candidates are deduplicated by ``_iso_key`` (the shard step,
-# ``_expand``), and each key, the adjacency of one member of its class, is
-# the class's representative: it is its own ``_iso_key``, and the classes are
-# sorted by it.  The shard step takes a slice of the parents, so a process
-# pool can share an order out; the serial build runs it on one slice.  Keys
-# travel packed into one int each (``_pack``), which takes about a third of a
-# tuple's memory in the pool's messages and in the parent that merges them.
+# each orbit is tried.  Each class then names one canonical deletion: among
+# the vertices whose deletion leaves it connected (for a tree, its leaves),
+# those of least (degree, sum of neighbour degrees), and of these the one
+# that comes first in the leaf order of its ``_iso_key``.  A child is kept
+# only if its new vertex lies in that vertex's orbit, so each class is kept
+# exactly once, from the parent and orbit that its canonical deletion gives.
+# The invariant rejects most children before any search; a survivor pays one
+# ``_iso_search``, which also yields its generators, carried to the next
+# order in key labels.  Each key, the adjacency of one member of its class,
+# is the class's representative: it is its own ``_iso_key``, and the classes
+# are sorted by it.  The shard step (``_expand``) takes a slice of the
+# parents, so a process pool can share an order out; the slices yield
+# disjoint lists, and the serial build runs the step on one slice.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -608,24 +625,67 @@ def _attach_leaf(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Itera
 _EXTEND = {"connected": (_attach_vertex, MAX_BUILTIN_ORDER), "trees": (_attach_leaf, MAX_TREE_ORDER)}
 
 
-def _pack(rows: Iterable[int], width: int) -> int:
-    """``rows`` as one int, ``width`` bits each and the first highest, so packed ints compare as tuples do."""
-    x = 0
-    for row in rows:
-        x = x << width | row
-    return x
+def _deletable(adj: tuple[int, ...], v: int) -> bool:
+    """Whether deleting ``v`` leaves the connected graph ``adj`` connected."""
+    if adj[v].bit_count() == 1:
+        return True
+    rest = ((1 << len(adj)) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            reach |= adj[u]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
 
 
-def _unpack(x: int, width: int, count: int) -> tuple[int, ...]:
-    mask = (1 << width) - 1
-    return tuple(x >> width * (count - 1 - i) & mask for i in range(count))
+def _canonical_child(child: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """``child``'s ``_iso_key`` and automorphism generators in key labels if its last vertex is a canonical deletion, else ``None``."""
+    new = len(child) - 1
+    degree = [row.bit_count() for row in child]
+    of_degree: dict[int, int] = {}
+    for v, d in enumerate(degree):
+        of_degree[d] = of_degree.get(d, 0) | 1 << v
+
+    def inv(v: int) -> tuple[int, int]:
+        return degree[v], sum(d * (child[v] & m).bit_count() for d, m in of_degree.items())
+
+    least = inv(new)
+    if any(degree[v] <= least[0] and inv(v) < least and _deletable(child, v) for v in range(new)):
+        return None
+    key, gens, order = _iso_search(child)
+    first = next(v for v in order if degree[v] == least[0] and inv(v) == least and (v == new or _deletable(child, v)))
+    orbit = {first}
+    todo = [first]
+    for v in todo:
+        for perm in gens:
+            if perm[v] not in orbit:
+                orbit.add(perm[v])
+                todo.append(perm[v])
+    if new not in orbit:
+        return None
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return key, [tuple([pos[perm[v]] for v in order]) for perm in gens]
 
 
-def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> set[int]:
-    """Shard step: the packed ``_iso_key`` of every class reached from ``parents``."""
+def _expand(parents: Sequence[tuple], kind: str, carry: bool) -> list[tuple]:
+    """Shard step: ``(key, generators)`` of each class whose canonical deletion is in ``parents``.
+
+    ``parents`` pairs each parent's adjacency with its generators, or with
+    ``None`` to compute them.  The generators come back in key labels if
+    ``carry`` is set, else as ``None``.
+    """
     extend = _EXTEND[kind][0]
-    n = len(parents[0]) + 1
-    return {_pack(_iso_key(child), n) for adj in parents for child in extend(adj, _iso_search(adj)[1])}
+    found = []
+    for adj, gens in parents:
+        for child in extend(adj, _iso_search(adj)[1] if gens is None else gens):
+            kept = _canonical_child(child)
+            if kept is not None:
+                found.append(kept if carry else (kept[0], None))
+    return found
 
 
 def _from_key(key: tuple[int, ...], n: int) -> Graph:
@@ -657,6 +717,10 @@ def _slices(items: list, shards: int) -> list[list]:
 
 # (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one order at a time
 _BUILT: dict[tuple[str, int], tuple[Graph, ...]] = {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)}
+# (kind, order) -> each class's automorphism generators in key labels, kept for
+# an order below the kind's cap until the next is built; the shard step
+# searches again for a parent whose generators are missing
+_GENS: dict[tuple[str, int], list] = {}
 # (kind, order) -> the same classes in canonical labels, sorted by ``_canon`` key; filled by ``_labelled``
 _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
@@ -674,14 +738,18 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
     """
     if kind not in _EXTEND:
         raise ValueError(f"unknown kind {kind!r} (choose from {', '.join(_EXTEND)})")
-    if not 1 <= n <= _EXTEND[kind][1]:
-        raise ValueError(f"built-in {kind} enumeration covers 1..{_EXTEND[kind][1]}, not {n}")
+    top = _EXTEND[kind][1]
+    if not 1 <= n <= top:
+        raise ValueError(f"built-in {kind} enumeration covers 1..{top}, not {n}")
     if (kind, n) not in _BUILT:
-        parents = [g.adj for g in build_classes(kind, n - 1, pool, shards)]
-        keys: set[int] = set()
-        for found in _run(pool, _expand, [(part, kind) for part in _slices(parents, shards)]):
-            keys |= found
-        _BUILT[kind, n] = tuple(Graph.from_rows(_unpack(key, n, n)) for key in sorted(keys))
+        parents = build_classes(kind, n - 1, pool, shards)
+        gens = _GENS.pop((kind, n - 1), [None] * len(parents))
+        items = [(g.adj, auts) for g, auts in zip(parents, gens)]
+        jobs = [(part, kind, n < top) for part in _slices(items, shards)]
+        found = sorted(pair for part in _run(pool, _expand, jobs) for pair in part)  # keys are distinct
+        _BUILT[kind, n] = tuple(Graph.from_rows(key) for key, _ in found)
+        if n < top:
+            _GENS[kind, n] = [gens for _, gens in found]
     return _BUILT[kind, n]
 
 

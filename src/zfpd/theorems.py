@@ -413,7 +413,8 @@ def _t1(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, _PATH_COVER_CAP, "connected")
+# the failure branch takes a full zero forcing minimum as well as the path cover
+@_verifier("T2", "zero forcing number 2 iff outerplanar with path cover number 2 (n>=5)", 7, min(_PATH_COVER_CAP, _FULL_SWEEP_CAP), "connected")
 def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
     for n in range(5, cap + 1):
         graphs = u.connected(n)

@@ -2,9 +2,11 @@
 
 Everything here recomputes from first principles with plain Python sets and
 itertools.combinations, deliberately sharing no code path with the library
-solvers: no bitmasks, no pruning, no Gosper enumeration.  The one exception
-is ``subset_dp_partition``, the subset DP the partition solvers used to run,
-kept on bitmasks as the reference for their value and witness.
+solvers: no bitmasks, no pruning, no Gosper enumeration.  The two exceptions
+are ``subset_dp_partition``, the subset DP the partition solvers used to run,
+kept on bitmasks as the reference for their value and witness, and
+``refine_every_cell``, the colour refinement the isomorphism search used to
+run, kept as the reference for its keys and generators.
 """
 
 from __future__ import annotations
@@ -234,6 +236,36 @@ def brute_canonical_key(g) -> tuple:
         if best is None or key < best:
             best = key
     return (n,) + (best if best is not None else ())
+
+
+def refine_every_cell(adj, cells, against=None):
+    """``families._refine`` as it was before it refined against the split
+    cells only: each round signs every vertex with its neighbour count in
+    every cell, first cell highest, until no cell splits.  ``against`` is
+    ignored, so this can stand in for ``_refine``."""
+    width = len(adj).bit_length()
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = 0
+                for m in masks:
+                    sig = sig << width | (adj[v] & m).bit_count()
+                groups.setdefault(sig, []).append(v)
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
 def brute_automorphisms(g) -> set[tuple[int, ...]]:

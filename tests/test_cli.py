@@ -308,9 +308,9 @@ def test_verify_labels_canonically_only_what_it_prints(capsys, monkeypatch):
 
 
 def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch, tmp_path):
-    # T4 and T13 have caps of their own, T2, T7 and T8 those of the path
-    # cover, spider and planarity searches, and T3 and T12 the largest order
-    # the subset searches sweep whole; no universe file lifts them, even one
+    # T4 and T13 have caps of their own, T7 and T8 those of the spider and
+    # planarity searches, and T2, T3 and T12 the largest order the subset
+    # searches sweep whole; no universe file lifts them, even one
     # that covers every order up to the one asked for.
     from zfpd import families, theorems
 
@@ -326,7 +326,7 @@ def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch,
     for args, message in (
         (("--ids", "T13", "--max-n", "6"), "T13 is capped at max_n=5; no universe file lifts it"),
         (("--ids", "T4", "--max-n", "8"), "T4 is capped at max_n=7; no universe file lifts it"),
-        (("--ids", "T2", "--max-n", "25"), "T2 is capped at max_n=24; no universe file lifts it"),
+        (("--ids", "T2", "--max-n", "23"), "T2 is capped at max_n=22; no universe file lifts it"),
         (("--ids", "T7", "--max-n", "21"), "T7 is capped at max_n=20; no universe file lifts it"),
         (("--ids", "T8", "--max-n", "13"), "T8 is capped at max_n=12; no universe file lifts it"),
         (("--ids", "T3", "--max-n", "23"), "T3 is capped at max_n=22; no universe file lifts it"),

@@ -9,6 +9,7 @@ import pytest
 from zfpd.graph import Graph
 import zfpd.families as families
 from zfpd.families import (
+    _EXTEND,
     MAX_BUILTIN_ORDER,
     MAX_TREE_ORDER,
     _attach_leaf,
@@ -37,12 +38,17 @@ from zfpd.families import (
 )
 from zfpd.products import cartesian_product
 
-from oracles import brute_automorphisms, brute_canonical_key, random_graph
+from oracles import brute_automorphisms, brute_canonical_key, random_graph, refine_every_cell
 
 DATA_FILE = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "connected_1to8.g6"
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# every order the built-in enumeration covers: OEIS A001349 and A000055
+BUILT_COUNTS = {
+    "connected": [1, 1, 2, 6, 21, 112, 853, 11117],
+    "trees": [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551],
+}
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -452,6 +458,51 @@ def test_orbit_pruned_candidates_reach_every_class():
     assert len(list(_attach_vertex(complete(4).adj, _iso_search(complete(4).adj)[1]))) == 4
 
 
+def test_refining_against_split_cells_keeps_keys_generators_and_leaf_orders(monkeypatch):
+    # every orbit-pruned candidate of orders 2..7
+    graphs = [
+        child
+        for kind, (extend, _) in _EXTEND.items()
+        for n in range(1, 7)
+        for g in build_classes(kind, n)
+        for child in extend(g.adj, _iso_search(g.adj)[1])
+    ]
+    found = [_iso_search(adj) for adj in graphs]
+    monkeypatch.setattr(families, "_refine", refine_every_cell)
+    for adj, (key, gens, order) in zip(graphs, found):
+        every_key, every_gens, every_order = _iso_search(adj)
+        assert (key, set(gens), order) == (every_key, set(every_gens), every_order), adj
+
+
+def _dedup_classes(kind: str, top: int) -> list[list[tuple[int, ...]]]:
+    """Orders ``1..top`` as the build made them before canonical augmentation:
+    the sorted ``_iso_key`` set of every orbit-pruned candidate."""
+    extend = _EXTEND[kind][0]
+    orders = [[Graph(1).adj]]
+    for _ in range(2, top + 1):
+        orders.append(sorted({_iso_key(c) for adj in orders[-1] for c in extend(adj, _iso_search(adj)[1])}))
+    return orders
+
+
+def test_canonical_augmentation_builds_what_the_key_set_dedup_built():
+    for kind, top in (("connected", 7), ("trees", 10)):
+        assert [[g.adj for g in build_classes(kind, n)] for n in range(1, top + 1)] == _dedup_classes(kind, top), kind
+
+
+def test_built_class_counts_match_oeis():
+    assert {kind: len(counts) for kind, counts in BUILT_COUNTS.items()} == {kind: top for kind, (_, top) in _EXTEND.items()}
+    for kind, counts in BUILT_COUNTS.items():
+        assert [len(build_classes(kind, n)) for n in range(1, len(counts) + 1)] == counts, kind
+
+
+def test_order_8_classes_are_the_classes_of_the_checked_in_universe_file():
+    with open(DATA_FILE, encoding="ascii") as fh:  # opened read-only
+        eights = [g for g in read_graph6_lines(fh) if g.n == 8]
+    keys = sorted({_iso_key(g.adj) for g in eights})
+    assert len(keys) == len(eights) == 11117
+    assert [g.adj for g in build_classes("connected", 8)] == keys
+
+
 def test_pool_build_equals_the_serial_build(monkeypatch):
     from zfpd.theorems import Universe
 
@@ -466,6 +517,8 @@ def test_pool_build_equals_the_serial_build(monkeypatch):
     assert len(families._BUILT) == 6 + 8  # every order was built again
     assert [u.connected(n) for n in range(1, 7)] == serial_connected  # Graph equality is adjacency equality
     assert [u.trees(n) for n in range(1, 9)] == serial_trees
+    for classes in families._BUILT.values():  # no shard kept a class that another kept too
+        assert all(a.adj < b.adj for a, b in zip(classes, classes[1:]))
 
 
 def test_built_classes_are_their_own_iso_keys_in_key_order():

@@ -51,10 +51,12 @@ def test_every_default_cap_is_within_the_own_cap_and_the_enumeration_limit():
 
 
 def test_an_own_cap_is_the_order_cap_of_the_solver_a_verifier_calls():
-    # T2 calls the path cover search, T7 the spider search and T8 the planarity
-    # test; T3 and T12 take full k-subset minima on every graph.
+    # T2 calls the path cover search and, on a failure, a full zero forcing
+    # minimum; T7 the spider search and T8 the planarity test; T3 and T12 take
+    # full k-subset minima on every graph.
     own = {tid: entry[2] for tid, entry in _REGISTRY.items()}
-    assert (own["T2"], own["T7"], own["T8"]) == (invariants._PATH_COVER_CAP, invariants._SPIDER_CAP, structure._HOST_CAP)
+    assert own["T2"] == min(invariants._PATH_COVER_CAP, invariants._FULL_SWEEP_CAP) == 22
+    assert (own["T7"], own["T8"]) == (invariants._SPIDER_CAP, structure._HOST_CAP)
     assert own["T3"] == own["T12"] == invariants._FULL_SWEEP_CAP
 
 
