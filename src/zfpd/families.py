@@ -700,7 +700,7 @@ def _from_key(key: tuple[int, ...], n: int) -> Graph:
             if col >> (j - 1 - i) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph.from_rows(rows)
+    return Graph._of(rows)
 
 
 def _run(pool: Executor | None, fn: Callable, jobs: list[tuple]) -> list:
@@ -747,7 +747,7 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
         items = [(g.adj, auts) for g, auts in zip(parents, gens)]
         jobs = [(part, kind, n < top) for part in _slices(items, shards)]
         found = sorted(pair for part in _run(pool, _expand, jobs) for pair in part)  # keys are distinct
-        _BUILT[kind, n] = tuple(Graph.from_rows(key) for key, _ in found)
+        _BUILT[kind, n] = tuple(Graph._of(key) for key, _ in found)
         if n < top:
             _GENS[kind, n] = [gens for _, gens in found]
     return _BUILT[kind, n]

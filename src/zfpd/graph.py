@@ -4,8 +4,15 @@ Vertices are dense integers ``0..n-1``.  A vertex set is a plain ``int``
 bitmask, which keeps closures, dominating sets and witnesses cheap to copy,
 hash and compare.  Graphs never change after construction, so they can be
 shared freely across threads and used as dictionary keys.  Connectivity,
-distances and eccentricities all come from one breadth-first search,
-``Graph._layers``.
+distances and eccentricities come from one breadth-first search,
+``Graph._layers``; the diameter grows every vertex's ball at once instead.
+The hot loops walk a mask by its lowest set bit inline; ``bits`` is for
+the rest.
+
+``Graph.from_rows`` checks rows that come from outside.  ``Graph._of``
+stores rows unchecked, and only code that derives them from a graph that is
+already valid may call it: the transforms below, the products and the
+built-in universe orders of ``families``.
 
 ``MAX_ORDER`` (4096) caps the order that input from outside the program may
 ask for: an edge-list label, a size given to ``families.generate`` and the
@@ -112,12 +119,19 @@ class Graph:
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u} is not allowed")
         for u, row in enumerate(rows):
-            for v in bits(row):
+            while row:
+                v = (row & -row).bit_length() - 1
                 if not rows[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row &= row - 1
+        return cls._of(rows)
+
+    @classmethod
+    def _of(cls, rows: tuple[int, ...] | list[int]) -> "Graph":
+        """A graph with adjacency ``rows``, unchecked: for rows derived from a valid graph."""
         g = object.__new__(cls)
-        g.n = n
-        g.adj = rows
+        g.n = len(rows)
+        g.adj = tuple(rows)
         return g
 
     # -- basic queries ---------------------------------------------------
@@ -172,9 +186,11 @@ class Graph:
 
     def open_neighborhood(self, mask: int) -> int:
         """Union of open neighborhoods over the vertices of ``mask``."""
+        adj = self.adj
         out = 0
-        for v in bits(mask):
-            out |= self.adj[v]
+        while mask:
+            out |= adj[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
         return out
 
     def closed_neighborhood(self, mask: int) -> int:
@@ -190,10 +206,15 @@ class Graph:
         subgraph induced by ``within``.  The layers are disjoint, so their sum
         is the set of vertices reached.
         """
+        adj = self.adj
         seen = frontier = start
         while frontier:
             yield frontier
-            frontier = self.open_neighborhood(frontier) & within & ~seen
+            reach = 0
+            while frontier:
+                reach |= adj[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & within & ~seen
             seen |= frontier
 
     def is_connected(self) -> bool:
@@ -219,9 +240,35 @@ class Graph:
         return len(layers) - 1
 
     def diameter(self) -> int:
-        if not self.is_connected():
-            raise ValueError("diameter requires a connected graph")
-        return max(self.eccentricity(v) for v in range(self.n))
+        """Largest distance between two vertices; requires a connected graph.
+
+        Every ball grows at once.  Ball ``v`` starts as the closed row of
+        ``v``, radius 1, and each round takes in its neighbours' balls, one
+        step wider.  The diameter is the radius at which every ball is every
+        vertex; a round in which no ball grows means the graph is disconnected.
+        """
+        n = self.n
+        if n < 2:
+            if n == 0:
+                raise ValueError("diameter is undefined for the empty graph")
+            return 0
+        adj = self.adj
+        full = self.full_mask
+        balls = [row | 1 << v for v, row in enumerate(adj)]
+        radius = 1
+        while balls.count(full) < n:
+            grown = []
+            for ball, row in zip(balls, adj):
+                if ball != full:
+                    while row:
+                        ball |= balls[(row & -row).bit_length() - 1]
+                        row &= row - 1
+                grown.append(ball)
+            if grown == balls:
+                raise ValueError("diameter requires a connected graph")
+            balls = grown
+            radius += 1
+        return radius
 
     # -- structural transforms --------------------------------------------
 
@@ -238,7 +285,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = self.full_mask
         rows = [full & ~self.adj[u] & ~(1 << u) for u in range(self.n)]
-        return Graph.from_rows(rows)
+        return Graph._of(rows)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -246,7 +293,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph.from_rows(rows)
+        return Graph._of(rows)
 
     def induced_subgraph(self, mask: int) -> "Graph":
         """Subgraph induced by ``mask``, relabeled to ``0..k-1`` in sorted order."""
@@ -258,7 +305,7 @@ class Graph:
         for v in verts:
             for w in bits(self.adj[v] & mask):
                 rows[index[v]] |= 1 << index[w]
-        return Graph.from_rows(rows)
+        return Graph._of(rows)
 
     # -- plumbing ----------------------------------------------------------
 

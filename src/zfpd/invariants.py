@@ -6,7 +6,7 @@ always the smallest-bitmask minimum set.  The four set-valued solvers share
 one ascending size loop, ``_minimum``.  The domination searches and power
 domination share one ``k``-subset search, ``_first_subset``, which carries
 the union of the chosen vertices' rows down its recursion; power
-domination takes one ``closure`` per complete subset, because its sweeps
+domination calls ``_spread`` once per complete subset, because its sweeps
 usually hit early.  Zero forcing, whose sweeps mostly refute, has its own
 search in the same order, which carries the closure of the chosen vertices
 and uses that a closed set other than every vertex leaves a fort white
@@ -55,7 +55,9 @@ from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .graph import Graph, bits, is_path, is_tree
-from .propagation import ForceLog, _spread, closure, closure_with_log
+# closure is unused here but stays a module attribute: perfbench/tracer.py
+# wraps invariants.closure.
+from .propagation import ForceLog, _spread, closure, closure_with_log  # noqa: F401
 
 __all__ = [
     "ParamResult",
@@ -125,12 +127,15 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     union must be every vertex, and a branch whose union cannot reach every
     vertex even with all rows below ``t`` is skipped; no subset in it
     covers, so the hit is the same.  With ``forcing`` the closure of the
-    union must be every vertex, computed once per complete subset.
+    union must be every vertex, spread once per complete subset by
+    ``_spread`` directly, with no bounds check: the union is of the graph's
+    own rows.
     """
     n = g.n
     if not _sweepable(n, k, what):
         return None
     full = g.full_mask
+    adj = g.adj
     below = [0] * n
     if not forcing:
         for t in range(1, n):
@@ -142,7 +147,7 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
             for t in range(hi):
                 u = union | rows[t]
                 if forcing:
-                    u = closure(g, u)
+                    u = _spread(adj, u, u)
                 if u == full:
                     return chosen | 1 << t
             return None

@@ -25,9 +25,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     _check_operands(g, h)
     rows = []
     for gv in range(g.n):
-        across = sum(1 << gw * h.n for gw in bits(g.adj[gv]))  # vertex hv = 0 of each neighbouring fibre
+        across = 0  # vertex hv = 0 of each neighbouring fibre
+        row = g.adj[gv]
+        while row:
+            across |= 1 << ((row & -row).bit_length() - 1) * h.n
+            row &= row - 1
         rows.extend(h.adj[hv] << gv * h.n | across << hv for hv in range(h.n))
-    return Graph.from_rows(rows)
+    return Graph._of(rows)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
@@ -37,7 +41,7 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     for gv in range(g.n):
         across = sum(h.full_mask << gw * h.n for gw in bits(g.adj[gv]))  # each neighbouring fibre whole
         rows.extend(h.adj[hv] << gv * h.n | across for hv in range(h.n))
-    return Graph.from_rows(rows)
+    return Graph._of(rows)
 
 
 def amalgamate(g: Graph, gv: int, h: Graph, hv: int) -> Graph:

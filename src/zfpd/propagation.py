@@ -45,8 +45,8 @@ def _spread(adj: list[int], black: int, near: int) -> int:
     closed neighborhood of the vertices that turned black in the pass, and
     the loop ends when a pass forces nothing.  A vertex that forces, or has
     no white neighbor, never forces again.  No bounds check: ``closure``
-    makes it, and the zero forcing sweep in ``invariants`` builds its masks
-    from the graph's own rows.
+    makes it, and the zero forcing and power domination sweeps in
+    ``invariants`` build their masks from the graph's own rows.
     """
     while near:
         rest = near & black
@@ -127,7 +127,10 @@ def closure_with_log(g: Graph, black: int) -> tuple[int, ForceLog]:
     forces: list[tuple[int, int]] = []
     successor: dict[int, int] = {}
     while True:
-        for v in bits(black):
+        rest = black
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             white = adj[v] & ~black
             if white and white & white - 1 == 0:
                 w = white.bit_length() - 1

@@ -25,13 +25,14 @@ so the CLI calls it for every id before any work.  An own cap is the
 verifier's limit or the order cap of a solver it calls, and no file lifts
 it: T4's claim is about order <= 7, T13 pairs every factor with every
 factor, T5, T6, T11 and T14 read no universe, T2, T7 and T8 call the
-path cover, spider and planarity searches, whose caps they import, and T3
-and T12 take full k-subset minima on every graph, so they stop at the
-largest order at which the subset searches refuse no size.  Every
-other verifier is limited only by its universe, whose built-in orders stop
-where ``families`` says.  A file covers an order only for the kinds of
-graph it holds there, which ``Universe`` records once, when it reads the
-files.
+path cover, spider and planarity searches, whose caps they import, T3,
+T9 and T12 take full k-subset minima (T9 only when it reports a failure or
+a witness), so they stop at the largest order at which the subset searches
+refuse no size, and T16 takes them on products with an edge, of twice the
+order, so it stops at half that order.  Every other verifier is limited
+only by its universe, whose built-in orders stop where ``families`` says.
+A file covers an order only for the kinds of graph it holds there, which
+``Universe`` records once, when it reads the files.
 
 A built-in order holds its graphs in the labels its enumeration found them
 in (``families.build_classes``), which no report shows.  ``Universe.graph6``
@@ -296,7 +297,9 @@ def _twin_free(g: Graph) -> bool:
 # tid -> (claim, default cap, own cap, the universe the verifier reads:
 # "connected", "trees" or None, the verifier).  The own cap is the
 # verifier's limit or the order cap of a solver it calls, imported from that
-# solver's module, and no file lifts it; None leaves only the universe.
+# solver's module (T9 and T16 take full power domination minima, T16 on
+# products of twice the order), and no file lifts it; None leaves only the
+# universe.
 _REGISTRY: dict[str, tuple[str, int, int | None, str | None, Callable[[VerifyReport, Universe, int], str]]] = {}
 
 
@@ -659,7 +662,7 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     return f"connected graphs 1<=n<={cap}"
 
 
-@_verifier("T9", "large maximum degree keeps the power domination number small", 8, None, "connected")
+@_verifier("T9", "large maximum degree keeps the power domination number small", 8, _FULL_SWEEP_CAP, "connected")
 def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
     hits: list[Graph] = []
     for g in u.between(1, cap):
@@ -926,7 +929,7 @@ def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
     return False
 
 
-@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, None, "connected")
+@_verifier("T16", "Cartesian products with one edge: power domination behavior", 7, _FULL_SWEEP_CAP // 2, "connected")
 def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     p2 = path(2)
     hits: list[Graph] = []

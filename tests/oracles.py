@@ -6,7 +6,9 @@ solvers: no bitmasks, no pruning, no Gosper enumeration.  The two exceptions
 are ``subset_dp_partition``, the subset DP the partition solvers used to run,
 kept on bitmasks as the reference for their value and witness, and
 ``refine_every_cell``, the colour refinement the isomorphism search used to
-run, kept as the reference for its keys and generators.
+run, kept as the reference for its keys and generators, and
+``rescanning_closure_with_log``, the bit-generator loop ``closure_with_log``
+used to run, kept as the reference for its canonical schedule.
 """
 
 from __future__ import annotations
@@ -358,3 +360,35 @@ def closure_random_order(g, start: int, rng) -> int:
             return black
         _, w = rng.choice(eligible)
         black |= w
+
+
+def rescanning_closure_with_log(g, black: int):
+    """Closure and ``ForceLog`` by rescanning the black vertices in ascending
+    order after each force, through the ``bits`` generator: the lowest able
+    forcer acts."""
+    from zfpd.graph import bits
+    from zfpd.propagation import ForceLog
+
+    initial = black
+    forces = []
+    successor = {}
+    while True:
+        for v in bits(black):
+            white = g.adj[v] & ~black
+            if white and white & white - 1 == 0:
+                w = white.bit_length() - 1
+                forces.append((v, w))
+                successor[v] = w
+                black |= white
+                break
+        else:
+            break
+    chains = []
+    terminals = 0
+    for s in bits(initial):
+        chain = [s]
+        while chain[-1] in successor:
+            chain.append(successor[chain[-1]])
+        chains.append(tuple(chain))
+        terminals |= 1 << chain[-1]
+    return black, ForceLog(initial, tuple(forces), tuple(chains), terminals)

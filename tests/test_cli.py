@@ -309,9 +309,10 @@ def test_verify_labels_canonically_only_what_it_prints(capsys, monkeypatch):
 
 def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch, tmp_path):
     # T4 and T13 have caps of their own, T7 and T8 those of the spider and
-    # planarity searches, and T2, T3 and T12 the largest order the subset
-    # searches sweep whole; no universe file lifts them, even one
-    # that covers every order up to the one asked for.
+    # planarity searches, T2, T3, T9 and T12 the largest order the subset
+    # searches sweep whole, and T16 half of it, since it sweeps products
+    # with an edge; no universe file lifts them, even one that covers every
+    # order up to the one asked for.
     from zfpd import families, theorems
 
     above = tmp_path / "six_to_twenty_five.g6"
@@ -331,6 +332,8 @@ def test_verify_refuses_an_own_cap_before_building_anything(capsys, monkeypatch,
         (("--ids", "T8", "--max-n", "13"), "T8 is capped at max_n=12; no universe file lifts it"),
         (("--ids", "T3", "--max-n", "23"), "T3 is capped at max_n=22; no universe file lifts it"),
         (("--ids", "T12", "--max-n", "23"), "T12 is capped at max_n=22; no universe file lifts it"),
+        (("--ids", "T9", "--max-n", "23"), "T9 is capped at max_n=22; no universe file lifts it"),
+        (("--ids", "T16", "--max-n", "12"), "T16 is capped at max_n=11; no universe file lifts it"),
     ):
         for universe in ((), ("--universe", str(above))):
             for workers in ("1", "2"):

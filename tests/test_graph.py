@@ -15,14 +15,25 @@ from zfpd.graph import (
     is_tree,
     induces_connected,
 )
-from zfpd.families import complete, cycle, enumerate_connected, enumerate_trees, path, star, complete_multipartite
+from zfpd.families import (
+    build_classes,
+    complete,
+    complete_multipartite,
+    cycle,
+    enumerate_connected,
+    enumerate_trees,
+    path,
+    star,
+)
 from zfpd.invariants import _induced_path_masks, _spider_masks
+from zfpd.products import cartesian_product, lexicographic_product
 
 from oracles import (
     _induces_path,
     _induces_spider,
     adj_sets,
     bfs_distances,
+    naive_diameter,
     random_connected_graph,
     random_graph,
 )
@@ -44,8 +55,34 @@ def test_from_rows_validates():
         Graph.from_rows([0b001, 0b000])  # loop at 0
     with pytest.raises(ValueError):
         Graph.from_rows([0b100, 0b000])  # bit outside range
+    with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 2"):
+        Graph.from_rows([0b110, 0b001, 0b000])  # the bad bit is not row 0's lowest
     g = Graph.from_rows([0b010, 0b001])
     assert g.has_edge(0, 1)
+
+
+def test_graphs_built_unchecked_pass_the_checks():
+    # ``Graph._of`` stores rows derived from a valid graph without checking
+    # them; every graph built that way must pass ``from_rows``.
+    def checked(g):
+        assert Graph.from_rows(g.adj) == g
+
+    rng = random.Random(67)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 6), rng.random())
+        h = random_graph(rng, rng.randint(1, 6), rng.random())
+        checked(cartesian_product(g, h))
+        checked(lexicographic_product(g, h))
+        checked(g.complement())
+        if g.m:
+            checked(g.delete_edge(*rng.choice(list(g.edges()))))
+        checked(g.induced_subgraph(rng.randrange(1 << g.n)))
+    for n in range(1, 8):
+        for g in chain(build_classes("connected", n), enumerate_connected(n)):
+            checked(g)
+    for n in range(1, 11):
+        for g in chain(build_classes("trees", n), enumerate_trees(n)):
+            checked(g)
 
 
 def test_neighbors_examples():
@@ -81,6 +118,22 @@ def test_diameter_examples():
     assert Graph(1).diameter() == 0
     with pytest.raises(ValueError):
         Graph(4, [(0, 1), (2, 3)]).diameter()
+    with pytest.raises(ValueError):
+        Graph(0).diameter()
+
+
+def test_diameter_matches_the_bfs_oracle():
+    for n in range(1, 8):
+        for g in build_classes("connected", n):
+            assert g.diameter() == naive_diameter(g)
+    rng = random.Random(71)
+    for _ in range(150):
+        g = random_connected_graph(rng, rng.randint(8, 14), rng.uniform(0.05, 0.6))
+        assert g.diameter() == naive_diameter(g)
+        # an isolated vertex, or any split, leaves no diameter
+        apart = Graph(g.n + 1, g.edges())
+        with pytest.raises(ValueError, match="diameter requires a connected graph"):
+            apart.diameter()
 
 
 def test_twins_examples():

@@ -24,7 +24,7 @@ from zfpd.propagation import (
     is_zero_forcing_set,
 )
 
-from oracles import closure_random_order, closure_sets, random_graph
+from oracles import closure_random_order, closure_sets, random_graph, rescanning_closure_with_log
 
 
 def test_closure_examples():
@@ -98,6 +98,17 @@ def test_closure_with_log_agrees_with_closure():
         cl, log = closure_with_log(g, start)
         assert cl == closure(g, start)
         log.validate(g)
+
+
+def test_closure_with_log_keeps_the_rescanning_schedule():
+    rng = random.Random(37)
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for _ in range(4):
+                start = rng.randrange(1 << n)
+                cl, log = closure_with_log(g, start)
+                assert (cl, log) == rescanning_closure_with_log(g, start)
+                log.validate(g)
 
 
 def test_closure_matches_set_oracle():
