@@ -298,9 +298,13 @@ def _induced_path_masks(g: Graph) -> list[int]:
     stack = [(1 << v, v) for v in range(g.n)]
     while stack:
         mask, tail = stack.pop()
-        for w in bits(adj[tail] & ~mask):
+        step = adj[tail] & ~mask
+        while step:
+            low = step & -step
+            step ^= low
+            w = low.bit_length() - 1
             if adj[w] & mask == 1 << tail:
-                grown = mask | 1 << w
+                grown = mask | low
                 found.add(grown)
                 stack.append((grown, w))
     return sorted(found)
@@ -319,10 +323,14 @@ def _spider_masks(t: Graph) -> list[int]:
     stack = [(1 << v, adj[v]) for v in range(t.n)]
     while stack:
         mask, reach = stack.pop()
-        for w in bits(reach & ~mask):
-            m = mask | 1 << w
+        step = reach & ~mask
+        while step:
+            low = step & -step
+            step ^= low
+            m = mask | low
             if m in found:
                 continue
+            w = low.bit_length() - 1
             u = (adj[w] & mask).bit_length() - 1
             if (adj[u] & m).bit_count() == 3 and any(
                 (adj[v] & m).bit_count() > 2 for v in bits(m ^ 1 << u)

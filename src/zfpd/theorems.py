@@ -47,6 +47,18 @@ witness (T9, T10, T16) takes it from the smallest order with any hit: at a
 built-in order, the hit with the least canonical key, whatever order the
 graphs are swept in; at a file order, the first hit in file order, and the
 search stops there.
+
+A verifier solves for values and solves nothing it already holds.  ``_gp``
+and ``_z`` run the subset searches through ``invariants._minimum`` and build
+no force log; only ``_recheck_power_domination``, which certifies T16's
+witness, asks for a certificate.  G box H and H box G are isomorphic through
+(a, b) -> (b, a), so T15 and T16's characterisation solve one product of
+each mirrored pair and reuse its answer for the other, and T15 solves each
+factor's power domination, domination and zero forcing numbers once.  Each
+ordered pair still builds its own product, counts in ``checked`` and fails
+with its own tag.  T16's edge bound tests both copies of a power dominating
+vertex of G in G box K2 before it searches.  What a verifier holds lives in
+its own call: no memo outlives it.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ import copy
 import os
 import time
 from bisect import bisect_left
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph, bits, is_path, is_tree
@@ -78,11 +91,14 @@ from .families import (  # noqa: F401
     wheel,
     write_graph6,
 )
-from .invariants import (
+# zero_forcing_number is unused here but stays a module attribute:
+# perfbench/tracer.py wraps theorems.zero_forcing_number.
+from .invariants import (  # noqa: F401
     _FULL_SWEEP_CAP,
     _PATH_COVER_CAP,
     _SPIDER_CAP,
     _induced_path_masks,
+    _minimum,
     domination_number,
     find_power_dominating_set,
     find_zero_forcing_set,
@@ -263,8 +279,15 @@ class Universe:
 # solver shorthands
 
 
+# The minima look their searches up here, at call time, so a rebound
+# ``theorems.find_*`` sees every call; unlike ``power_domination_number``
+# they build no force log.
 def _gp(g: Graph) -> int:
-    return power_domination_number(g).value
+    return _minimum(g, find_power_dominating_set, 1)[0]
+
+
+def _z(g: Graph) -> int:
+    return _minimum(g, find_zero_forcing_set, 1)[0]
 
 
 def _pd_at_most(g: Graph, k: int) -> bool:
@@ -428,7 +451,7 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
             outer = is_outerplanar(g)
             rhs = outer and path_cover_number(g).value == 2
             if z_is_2 != rhs:
-                z = zero_forcing_number(g).value
+                z = _z(g)
                 pc = path_cover_number(g).value
                 run.fail(
                     g,
@@ -531,7 +554,7 @@ def _t5(run: VerifyReport, u: Universe, cap: int) -> str:
             run.checked += 1
             gp = _gp(g)
             gamma = _gamma(g)
-            z = zero_forcing_number(g).value
+            z = _z(g)
             if (gp, gamma, z) != (exp_gp, exp_gamma, exp_z):
                 run.fail(
                     g,
@@ -834,12 +857,18 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     small = [u.shown(g) for g in u.between(2, 3)]
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
+    # Each factor is solved once, and each product once for it and its
+    # mirror (h, g); the caches die with this call.
+    gp, gamma, z = cache(_gp), cache(_gamma), cache(_z)
+    mirrored: dict[tuple[Graph, Graph], int] = {}
     for g, h in pairs:
         run.checked += 1
         prod = cartesian_product(g, h)
-        gp_prod = _gp(prod)
-        gp_g = _gp(g)
-        gp_h = _gp(h)
+        gp_prod = mirrored.get((h, g))
+        if gp_prod is None:
+            gp_prod = mirrored[g, h] = _gp(prod)
+        gp_g = gp(g)
+        gp_h = gp(h)
         pair_tag = f"{u.graph6(g)} box {u.graph6(h)}"
         if max(gp_g, gp_h) > gp_prod:
             run.fail(
@@ -853,20 +882,18 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
                 f"{pair_tag}: tree factor product lower bound",
                 f"{gp_g}*{gp_h} > {gp_prod}",
             )
-        if is_path(h) and gp_prod > _gamma(g):
+        if is_path(h) and gp_prod > gamma(g):
             run.fail(
                 prod,
                 f"{pair_tag}: path factor bound by left domination number",
-                f"{gp_prod} > {_gamma(g)}",
+                f"{gp_prod} > {gamma(g)}",
             )
-        if _gamma_is_one(h):
-            z = zero_forcing_number(g).value
-            if gp_prod > z:
-                run.fail(
-                    prod,
-                    f"{pair_tag}: dominating-vertex factor bound by left zero forcing",
-                    f"{gp_prod} > {z}",
-                )
+        if _gamma_is_one(h) and gp_prod > z(g):
+            run.fail(
+                prod,
+                f"{pair_tag}: dominating-vertex factor bound by left zero forcing",
+                f"{gp_prod} > {z(g)}",
+            )
     return (
         f"ordered pairs of connected factors 2<=n<={cap} with product order <= 20, "
         "plus H-graph pairs"
@@ -937,10 +964,15 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     # jump search (power domination 2), which stops after the order of its
     # first witness (see ``_searching``).
     for g in u.between(1, cap):
-        if _pd_at_most(g, 1):
+        one = find_power_dominating_set(g, 1)
+        if one is not None:
             run.checked += 1
             prod = cartesian_product(g, p2)
-            if not _pd_at_most(prod, 2):
+            # Vertex v of g is 2v and 2v + 1 in the product, whose two layers
+            # force in step, so both copies of a power dominating v power
+            # dominate it; the search runs only if they do not.
+            v = one.bit_length() - 1
+            if not is_power_dominating_set(prod, 3 << 2 * v) and not _pd_at_most(prod, 2):
                 run.fail(
                     g,
                     "power domination 1 implies the product with an edge needs <= 2",
@@ -953,13 +985,16 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
     factors = [u.shown(g) for g in u.between(2, 5)]
     gamma = {g: _gamma(g) for g in factors}
     pendant = {g: _pendant_path_dominatable(g) for g in factors}
+    mirrored: dict[tuple[Graph, Graph], bool] = {}  # g box h is isomorphic to h box g
     for g in factors:
         for h in factors:
             if g.n * h.n > 20:
                 continue
             run.checked += 1
             prod = cartesian_product(g, h)
-            actual = _pd_at_most(prod, 1)
+            actual = mirrored.get((h, g))
+            if actual is None:
+                actual = mirrored[g, h] = _pd_at_most(prod, 1)
             candidates = []
             if gamma[g] <= gamma[h]:
                 candidates.append((g, h))

@@ -34,6 +34,8 @@ from zfpd.products import cartesian_product
 from zfpd.propagation import is_power_dominating_set, is_zero_forcing_set
 
 from oracles import (
+    _induces_path,
+    _induces_spider,
     adj_sets,
     closed_nbhd_sets,
     closure_sets,
@@ -139,6 +141,21 @@ def test_partition_solvers_match_subset_dp():
             res = spider_number(g)
             want = subset_dp_partition(g, _spider_masks(g))
             assert (res.value, [mask_of(part) for part in res.witness]) == want, g
+
+
+def test_part_lists_are_every_inducing_set_in_ascending_order():
+    # The listings walk neighbour bits inline; the lists must be exactly the
+    # sets a brute-force sweep finds, sorted.
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            adj = adj_sets(g)
+            every = [m for m in range(1, 1 << n) if _induces_path(adj, {v for v in range(n) if m >> v & 1})]
+            assert _induced_path_masks(g) == every, g
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            adj = adj_sets(t)
+            every = [m for m in range(1, 1 << n) if _induces_spider(adj, {v for v in range(n) if m >> v & 1})]
+            assert _spider_masks(t) == every, t
 
 
 def test_one_part_is_decided_without_listing_parts(monkeypatch):

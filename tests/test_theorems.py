@@ -1,21 +1,25 @@
 import pickle
 import re
+from collections import Counter
 
 import pytest
 
 from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
-from zfpd import invariants, structure
+from zfpd import invariants, structure, theorems
 from zfpd.graph import Graph
-from zfpd.invariants import power_domination_number
+from zfpd.invariants import power_domination_number, zero_forcing_number
 from zfpd.structure import is_outerplanar
 from zfpd.products import cartesian_product
+from zfpd.propagation import is_power_dominating_set
 from zfpd.theorems import (
     _REGISTRY,
     Universe,
     VerifyReport,
     _cap,
+    _gp,
     _pd_at_most,
     _recheck_power_domination,
+    _z,
     claim_of,
     prepare,
     theorem_ids,
@@ -449,3 +453,88 @@ def test_pd_at_most_agrees_with_power_domination_number():
             gp = power_domination_number(g).value
             for k in (1, 2, 3):
                 assert _pd_at_most(g, k) == (gp <= k), (write_graph6(g), k)
+
+
+def _t15_pairs(monkeypatch) -> list[tuple[Graph, Graph, Graph]]:
+    """``(g, h, g box h)`` for every product a default T15 run builds, in order."""
+    built = []
+
+    def record(g, h):
+        built.append((g, h, cartesian_product(g, h)))
+        return built[-1][2]
+
+    monkeypatch.setattr(theorems, "cartesian_product", record)
+    report = verify("T15")
+    assert report.passed and report.checked == len(built)
+    return built
+
+
+def test_value_only_minima_match_the_certificate_solvers(monkeypatch):
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [prod for *_, prod in _t15_pairs(monkeypatch)]
+    for g in graphs:
+        assert _gp(g) == power_domination_number(g).value, write_graph6(g)
+        # Zero forcing numbers of 10-13 on the order-20 products take about a
+        # second each; T15 asks for Z of its factors alone.
+        if g.n <= 16:
+            assert _z(g) == zero_forcing_number(g).value, write_graph6(g)
+
+
+def test_t15_mirrored_products_have_one_power_domination_number(monkeypatch):
+    # g box h and h box g are isomorphic through (a, b) -> (b, a), which is
+    # what lets T15 solve one of them for both.
+    for g, h, prod in _t15_pairs(monkeypatch):
+        assert power_domination_number(prod).value == power_domination_number(cartesian_product(h, g)).value
+
+
+def _recording(fn, seen: list):
+    def call(g, *args):
+        seen.append(g)
+        return fn(g, *args)
+
+    return call
+
+
+def test_t15_solves_one_product_of_each_mirrored_pair_and_each_factor_once(monkeypatch):
+    searched: list[Graph] = []
+    monkeypatch.setattr(theorems, "find_power_dominating_set", _recording(theorems.find_power_dominating_set, searched))
+    solved: dict[str, list[Graph]] = {"_gp": [], "_gamma": [], "_z": []}
+    for name, seen in solved.items():
+        monkeypatch.setattr(theorems, name, _recording(getattr(theorems, name), seen))
+    pairs = _t15_pairs(monkeypatch)
+    searched_ids = {id(g) for g in searched}
+    per_pair = Counter(frozenset((g, h)) for g, h, prod in pairs if id(prod) in searched_ids)
+    assert per_pair.keys() == {frozenset((g, h)) for g, h, _ in pairs}
+    assert set(per_pair.values()) == {1}
+    products = {id(prod) for *_, prod in pairs}
+    for name, seen in solved.items():
+        factors = [g for g in seen if id(g) not in products]
+        assert factors and len(factors) == len(set(factors)), name
+
+
+def test_both_copies_of_a_power_dominating_vertex_power_dominate_the_product_with_an_edge():
+    # Vertex v of g is 2v and 2v + 1 in g box K2; T16's edge bound tests this
+    # set before it searches.
+    pairs = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            prod = cartesian_product(g, path(2))
+            for v in range(n):
+                if is_power_dominating_set(g, 1 << v):
+                    pairs += 1
+                    assert is_power_dominating_set(prod, 3 << 2 * v), (write_graph6(g), v)
+    assert pairs == 3642
+
+
+def test_t16_searches_an_edge_product_only_when_the_lifted_witness_fails(monkeypatch):
+    # With the witness refused, every graph of the edge-bound sweep (power
+    # domination 1) falls back to the search, and the report stays the same.
+    edge_bound = sum(_pd_at_most(g, 1) for n in range(1, 8) for g in enumerate_connected(n))
+    lifted, refused = [], []
+    monkeypatch.setattr(theorems, "_pd_at_most", _recording(_pd_at_most, lifted))
+    want = verify("T16").to_dict()
+    monkeypatch.setattr(theorems, "_pd_at_most", _recording(_pd_at_most, refused))
+    monkeypatch.setattr(theorems, "is_power_dominating_set", lambda g, s: False)
+    got = verify("T16").to_dict()
+    assert len(refused) - len(lifted) == edge_bound
+    assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}
