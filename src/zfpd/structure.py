@@ -168,14 +168,7 @@ def is_outerplanar(g: Graph) -> bool:
     leaves some vertex off the outer face."""
     if g.n >= 2 and g.m > 2 * g.n - 3:
         return False
-    sides: list[dict[int, int]] = []
-    for row in g.adj:
-        side = {}
-        while row:
-            low = row & -row
-            side[low.bit_length() - 1] = 0
-            row ^= low
-        sides.append(side)
+    sides = [dict.fromkeys(bits(row), 0) for row in g.adj]
     left = set(range(g.n))
     while left:
         v = min((w for w in left if len(sides[w]) <= 2), default=None)

@@ -56,9 +56,10 @@ witness, asks for a certificate.  G box H and H box G are isomorphic through
 each mirrored pair and reuse its answer for the other, and T15 solves each
 factor's power domination, domination and zero forcing numbers once.  Each
 ordered pair still builds its own product, counts in ``checked`` and fails
-with its own tag.  T16's edge bound tests both copies of a power dominating
-vertex of G in G box K2 before it searches.  What a verifier holds lives in
-its own call: no memo outlives it.
+with its own tag.  T16's edge bound runs no search: both copies of a power
+dominating vertex of G power dominate G box K2, and a pair that does not is
+a failure.  What a verifier holds lives in its own call: no memo outlives
+it.
 """
 
 from __future__ import annotations
@@ -970,9 +971,9 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             prod = cartesian_product(g, p2)
             # Vertex v of g is 2v and 2v + 1 in the product, whose two layers
             # force in step, so both copies of a power dominating v power
-            # dominate it; the search runs only if they do not.
+            # dominate it: that pair is the witness for the bound.
             v = one.bit_length() - 1
-            if not is_power_dominating_set(prod, 3 << 2 * v) and not _pd_at_most(prod, 2):
+            if not is_power_dominating_set(prod, 3 << 2 * v):
                 run.fail(
                     g,
                     "power domination 1 implies the product with an edge needs <= 2",

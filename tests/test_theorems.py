@@ -6,7 +6,7 @@ import pytest
 
 from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
 from zfpd import invariants, structure, theorems
-from zfpd.graph import Graph
+from zfpd.graph import Graph, bits, mask_of
 from zfpd.invariants import power_domination_number, zero_forcing_number
 from zfpd.structure import is_outerplanar
 from zfpd.products import cartesian_product
@@ -469,22 +469,23 @@ def _t15_pairs(monkeypatch) -> list[tuple[Graph, Graph, Graph]]:
     return built
 
 
-def test_value_only_minima_match_the_certificate_solvers(monkeypatch):
-    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
-    graphs += [prod for *_, prod in _t15_pairs(monkeypatch)]
-    for g in graphs:
-        assert _gp(g) == power_domination_number(g).value, write_graph6(g)
-        # Zero forcing numbers of 10-13 on the order-20 products take about a
-        # second each; T15 asks for Z of its factors alone.
-        if g.n <= 16:
+def test_value_only_minima_match_the_certificate_solvers():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            assert _gp(g) == power_domination_number(g).value, write_graph6(g)
             assert _z(g) == zero_forcing_number(g).value, write_graph6(g)
 
 
-def test_t15_mirrored_products_have_one_power_domination_number(monkeypatch):
+def test_t15_mirrored_products_are_isomorphic_by_swapping_coordinates(monkeypatch):
     # g box h and h box g are isomorphic through (a, b) -> (b, a), which is
-    # what lets T15 solve one of them for both.
+    # what lets T15 solve one of them for both.  (a, b) is vertex a * h.n + b
+    # of g box h and b * g.n + a of h box g.
     for g, h, prod in _t15_pairs(monkeypatch):
-        assert power_domination_number(prod).value == power_domination_number(cartesian_product(h, g)).value
+        to_mirror = [b * g.n + a for a in range(g.n) for b in range(h.n)]
+        rows = [0] * prod.n
+        for v, row in enumerate(prod.adj):
+            rows[to_mirror[v]] = mask_of(to_mirror[w] for w in bits(row))
+        assert Graph.from_rows(rows) == cartesian_product(h, g), (write_graph6(g), write_graph6(h))
 
 
 def _recording(fn, seen: list):
@@ -513,8 +514,8 @@ def test_t15_solves_one_product_of_each_mirrored_pair_and_each_factor_once(monke
 
 
 def test_both_copies_of_a_power_dominating_vertex_power_dominate_the_product_with_an_edge():
-    # Vertex v of g is 2v and 2v + 1 in g box K2; T16's edge bound tests this
-    # set before it searches.
+    # Vertex v of g is 2v and 2v + 1 in g box K2; T16's edge bound takes this
+    # set as its witness and runs no search.
     pairs = 0
     for n in range(1, 8):
         for g in enumerate_connected(n):
@@ -524,17 +525,3 @@ def test_both_copies_of_a_power_dominating_vertex_power_dominate_the_product_wit
                     pairs += 1
                     assert is_power_dominating_set(prod, 3 << 2 * v), (write_graph6(g), v)
     assert pairs == 3642
-
-
-def test_t16_searches_an_edge_product_only_when_the_lifted_witness_fails(monkeypatch):
-    # With the witness refused, every graph of the edge-bound sweep (power
-    # domination 1) falls back to the search, and the report stays the same.
-    edge_bound = sum(_pd_at_most(g, 1) for n in range(1, 8) for g in enumerate_connected(n))
-    lifted, refused = [], []
-    monkeypatch.setattr(theorems, "_pd_at_most", _recording(_pd_at_most, lifted))
-    want = verify("T16").to_dict()
-    monkeypatch.setattr(theorems, "_pd_at_most", _recording(_pd_at_most, refused))
-    monkeypatch.setattr(theorems, "is_power_dominating_set", lambda g, s: False)
-    got = verify("T16").to_dict()
-    assert len(refused) - len(lifted) == edge_bound
-    assert {**got, "elapsed_s": 0} == {**want, "elapsed_s": 0}
