@@ -9,8 +9,8 @@ isomorphism key, found by colour refinement and individualization, decides
 the canonical deletion in the same search that yields the automorphism
 group's generators, which the next order reuses.  The key is itself an
 adjacency, the best leaf's labelling of the class, so ``build_classes``
-keeps each class in those labels, sorted by key; a process pool can share
-out the parents.
+keeps each class in those labels, as a ``BuiltClass``, sorted by key; a
+process pool can share out the parents.
 
 The canonical labelling is the lexicographically smallest upper-triangle
 adjacency bitstring over all vertex orderings.  Its minimum is found one
@@ -31,6 +31,7 @@ does not finish).  They refuse a graph of order above ``MAX_TREE_ORDER``
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, bits, check_order
@@ -59,6 +60,7 @@ __all__ = [
     "enumerate_connected",
     "enumerate_trees",
     "build_classes",
+    "BuiltClass",
     "MAX_BUILTIN_ORDER",
     "MAX_TREE_ORDER",
 ]
@@ -703,12 +705,14 @@ def _from_key(key: tuple[int, ...], n: int) -> Graph:
     return Graph._of(rows)
 
 
-def _run(pool: Executor | None, fn: Callable, jobs: list[tuple]) -> list:
-    """``[fn(*job) for job in jobs]``, computed in ``pool`` if there is one."""
-    if pool is None:
-        return [fn(*job) for job in jobs]
-    futures = [pool.submit(fn, *job) for job in jobs]
-    return [f.result() for f in futures]
+class BuiltClass(Graph):
+    """A class of a built-in order, in the labels its enumeration found.
+
+    It has nothing of its own: the type alone tells a built-in class from any
+    other graph of the same adjacency, and pickling keeps it.
+    """
+
+    __slots__ = ()
 
 
 def _slices(items: list, shards: int) -> list[list]:
@@ -716,7 +720,7 @@ def _slices(items: list, shards: int) -> list[list]:
 
 
 # (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one order at a time
-_BUILT: dict[tuple[str, int], tuple[Graph, ...]] = {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)}
+_BUILT: dict[tuple[str, int], tuple[BuiltClass, ...]] = {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)}
 # (kind, order) -> each class's automorphism generators in key labels, kept for
 # an order below the kind's cap until the next is built; the shard step
 # searches again for a parent whose generators are missing
@@ -725,13 +729,13 @@ _GENS: dict[tuple[str, int], list] = {}
 _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
 
-def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[Graph, ...]:
+def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[BuiltClass, ...]:
     """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
 
-    Each class is the graph whose adjacency is its ``_iso_key``, and the
-    classes are sorted by it.  Missing orders are built upward from the
-    highest one cached, each order's shard step split ``shards`` ways and run
-    in ``pool`` (anything with ``submit``) or, without one, in this process.
+    Each class is the ``BuiltClass`` whose adjacency is its ``_iso_key``,
+    and the classes are sorted by it.  Missing orders are built upward from
+    the highest one cached, each order's shard step split ``shards`` ways and
+    mapped over ``pool`` (an ``Executor``) or, without one, in this process.
     The result does not depend on ``pool`` or ``shards``.  An unknown
     ``kind``, or an order above its cap (``MAX_BUILTIN_ORDER`` or
     ``MAX_TREE_ORDER``), is refused with ``ValueError``.
@@ -745,9 +749,9 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
         parents = build_classes(kind, n - 1, pool, shards)
         gens = _GENS.pop((kind, n - 1), [None] * len(parents))
         items = [(g.adj, auts) for g, auts in zip(parents, gens)]
-        jobs = [(part, kind, n < top) for part in _slices(items, shards)]
-        found = sorted(pair for part in _run(pool, _expand, jobs) for pair in part)  # keys are distinct
-        _BUILT[kind, n] = tuple(Graph._of(key) for key, _ in found)
+        parts = (pool.map if pool else map)(partial(_expand, kind=kind, carry=n < top), _slices(items, shards))
+        found = sorted(pair for part in parts for pair in part)  # keys are distinct
+        _BUILT[kind, n] = tuple(BuiltClass._of(key) for key, _ in found)
         if n < top:
             _GENS[kind, n] = [gens for _, gens in found]
     return _BUILT[kind, n]

@@ -34,32 +34,33 @@ only by its universe, whose built-in orders stop where ``families`` says.
 A file covers an order only for the kinds of graph it holds there, which
 ``Universe`` records once, when it reads the files.
 
-A built-in order holds its graphs in the labels its enumeration found them
-in (``families.build_classes``), which no report shows.  ``Universe.graph6``
-is the one place that decides how a graph is written, and ``fail``, every
-note and every product tag go through it: a graph of a built-in order in its
-canonical labels, the graph6 string reports have always printed, and any
-other graph (a file graph, a family member, a product) as it is.  Only the
-graphs a report writes pay for the canonical labelling.  The product
-verifiers (T13, T15, T16) pair the factors in the labels they are shown in,
-so a product is written as it always was.  A search that reports one
-witness (T9, T10, T16) takes it from the smallest order with any hit: at a
-built-in order, the hit with the least canonical key, whatever order the
-graphs are swept in; at a file order, the first hit in file order, and the
-search stops there.
+A graph's type decides how a report prints it, and no universe is asked.
+A built-in order holds ``families.BuiltClass`` graphs, in the labels their
+enumeration found (``families.build_classes``), which no report shows.
+``graph6`` is the one place that writes a graph, and ``fail``, every note
+and every product tag go through it: a ``BuiltClass`` in its canonical
+labels (``shown``), the graph6 string reports have always printed, and any
+other graph (a file graph, a family member, a product) as it is, even where
+its adjacency equals a built-in class's.  Only the graphs a report writes
+pay for the canonical labelling.  The product verifiers (T13, T15, T16)
+pair the factors in the labels they are shown in, so a product is written
+as it always was.  A search that reports one witness (T9, T10, T16) takes
+it from the smallest order with any hit: at a built-in order, the hit with
+the least canonical key, whatever order the graphs are swept in; at a file
+order, the first hit in file order, and the search stops there.
 
 A verifier solves for values and solves nothing it already holds.  ``_gp``
 and ``_z`` run the subset searches through ``invariants._minimum`` and build
 no force log; only ``_recheck_power_domination``, which certifies T16's
 witness, asks for a certificate.  G box H and H box G are isomorphic through
 (a, b) -> (b, a), so T15 and T16's characterisation solve one product of
-each mirrored pair and reuse its answer for the other, and T15 solves each
-factor's power domination, domination and zero forcing numbers once.  Each
-ordered pair still builds its own product, counts in ``checked`` and fails
-with its own tag.  T16's edge bound runs no search: both copies of a power
-dominating vertex of G power dominate G box K2, and a pair that does not is
-a failure.  What a verifier holds lives in its own call: no memo outlives
-it.
+each mirrored pair and reuse its answer for the other.  T13, T15 and T16's
+characterisation solve each factor once for each number they read of it.
+Each ordered pair still builds its own product, counts in ``checked`` and
+fails with its own tag.  T16's edge bound runs no search: both copies of a
+power dominating vertex of G power dominate G box K2, and a pair that does
+not is a failure.  What a verifier holds lives in its own call: no memo
+outlives it.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import copy
 import os
 import time
-from bisect import bisect_left
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -77,6 +77,7 @@ from .graph import Graph, bits, is_path, is_tree
 # theorems.enumerate_trees.
 from .families import (  # noqa: F401
     _EXTEND,
+    BuiltClass,
     build_classes,
     canonical_graph,
     complete,
@@ -130,16 +131,11 @@ class VerifyReport:
     """One verifier's outcome; the verifier fills it in as it sweeps.
 
     A verifier adds to ``checked`` and ``notes`` directly and records a
-    counterexample through ``fail``, which stores the graph as graph6,
-    written by ``show``: ``Universe.graph6`` during a ``verify`` run.  The
-    report pickles and converts to a dict without it.
+    counterexample through ``fail``, which stores the graph as ``graph6``
+    writes it.
     """
 
-    _show: Callable[[Graph], str] = staticmethod(write_graph6)
-
-    def __init__(self, theorem: str, claim: str, show: Callable[[Graph], str] | None = None) -> None:
-        if show is not None:
-            self._show = show
+    def __init__(self, theorem: str, claim: str) -> None:
         self.theorem = theorem
         self.claim = claim
         self.universe = ""
@@ -153,15 +149,11 @@ class VerifyReport:
         return not self.failures
 
     def fail(self, g: Graph, expected: str, observed: str) -> None:
-        self.failures.append(Failure(self._show(g), expected, observed))
-
-    def __getstate__(self) -> dict:
-        # a pool worker sends the report back without the universe ``show`` reads
-        return {k: v for k, v in vars(self).items() if k != "_show"}
+        self.failures.append(Failure(graph6(g), expected, observed))
 
     def to_dict(self) -> dict:
         return {
-            **self.__getstate__(),
+            **vars(self),
             "failures": [f._asdict() for f in self.failures],
             "notes": list(self.notes),
             "elapsed_s": round(self.elapsed_s, 3),
@@ -179,12 +171,13 @@ class Universe:
     reach the harness.  An order a file holds no graph of that kind for,
     such as order 13 for the trees when the file holds only the 13-cycle,
     still comes from the built-in enumeration: ``families.build_classes``'s
-    tuple, in the labels the enumeration found, whose graphs ``graph6``
-    writes in canonical labels.  Files are parsed and filtered here, once:
-    graphs that are not connected, the order-0 graph among them, are
-    dropped, and so is a repeat of a graph already read, from the same file
-    or another; isomorphic relabelings are kept.  A built-in order is
-    enumerated on first use, or before it by ``build``.
+    tuple of ``BuiltClass`` graphs.  A universe only supplies graphs: how a
+    report writes one follows from its type (``graph6``).  Files are parsed
+    and filtered here, once: graphs that are not connected, the order-0
+    graph among them, are dropped, and so is a repeat of a graph already
+    read, from the same file or another; isomorphic relabelings are kept.
+    A built-in order is enumerated on first use, or before it by ``build``;
+    ``connected``, ``trees`` and ``build`` share one lookup, ``_order``.
     ``connected`` and ``trees`` return the same tuple on every call.
     ``between(lo, hi)`` yields the connected graphs of orders ``lo`` to
     ``hi``, asking ``connected`` for one order at a time.
@@ -207,8 +200,6 @@ class Universe:
                         held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                         self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
         self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
-        # built-in graph -> its canonical relabelling, for the graphs a report writes
-        self._canonical: dict[Graph, Graph] = {}
 
     def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
         """Build the ``kind`` orders ``1..top`` not yet held.
@@ -216,11 +207,8 @@ class Universe:
         ``pool`` and ``shards`` are as in ``families.build_classes``, which
         refuses an order above the built-in cap.
         """
-        missing = [n for n in range(1, top + 1) if n not in self._orders[kind]]
-        if missing:
-            build_classes(kind, missing[-1], pool, shards)  # builds the orders below it too
-            for n in missing:
-                getattr(self, kind)(n)
+        for n in range(1, top + 1):
+            self._order(kind, n, pool, shards)
 
     def part(self, kind: str | None, top: int) -> Universe:
         """A copy holding only what a verifier of ``kind`` reads up to ``top``.
@@ -235,21 +223,21 @@ class Universe:
         }
         return view
 
-    def connected(self, n: int) -> tuple[Graph, ...]:
-        held = self._orders["connected"]
+    def _order(self, kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[Graph, ...]:
+        held = self._orders[kind]
         if n not in held:
-            held[n] = build_classes("connected", n)
+            held[n] = build_classes(kind, n, pool, shards)
         return held[n]
+
+    def connected(self, n: int) -> tuple[Graph, ...]:
+        return self._order("connected", n)
 
     def between(self, lo: int, hi: int) -> Iterator[Graph]:
         for n in range(lo, hi + 1):
             yield from self.connected(n)
 
     def trees(self, n: int) -> tuple[Graph, ...]:
-        held = self._orders["trees"]
-        if n not in held:
-            held[n] = build_classes("trees", n)
-        return held[n]
+        return self._order("trees", n)
 
     def source(self, n: int) -> str:
         """The files that supply the connected graphs of order ``n``, or ``built-in``."""
@@ -259,21 +247,15 @@ class Universe:
         """True iff a file supplies graphs of ``kind`` ("connected" or "trees") at order ``n``."""
         return n in self._names[kind]
 
-    def shown(self, g: Graph) -> Graph:
-        """``g`` in the labels a report shows it in: canonical if it is a graph of a built-in order, else ``g``."""
-        for kind, held in self._orders.items():
-            order = () if self.has_file_for(kind, g.n) else held.get(g.n, ())
-            # A built-in order is sorted by adjacency; an equal graph from elsewhere is not it.
-            at = bisect_left(order, g.adj, key=lambda h: h.adj)
-            if at < len(order) and order[at] is g:
-                if g not in self._canonical:
-                    self._canonical[g] = canonical_graph(g)
-                return self._canonical[g]
-        return g
 
-    def graph6(self, g: Graph) -> str:
-        """How a report writes ``g``: the graph6 string of ``shown(g)``."""
-        return write_graph6(self.shown(g))
+def shown(g: Graph) -> Graph:
+    """``g`` in the labels a report shows it in: canonical for a built-in class, else as it is."""
+    return canonical_graph(g) if isinstance(g, BuiltClass) else g
+
+
+def graph6(g: Graph) -> str:
+    """How a report writes ``g``: the graph6 string of ``shown(g)``."""
+    return write_graph6(shown(g))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +365,7 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
         universe = Universe()
     cap = _cap(tid, max_n, universe)
     claim, _, _, _, fn = _REGISTRY[tid]
-    report = VerifyReport(tid, claim, universe.graph6)
+    report = VerifyReport(tid, claim)
     start = time.perf_counter()
     report.universe = fn(report, universe, cap)
     report.elapsed_s = time.perf_counter() - start
@@ -409,16 +391,17 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
     return [universe.part(kind, cap) for kind, cap in zip(kinds, caps)]
 
 
-def _searching(u: Universe, hits: list[Graph], g: Graph) -> bool:
+def _searching(hits: list[Graph], g: Graph) -> bool:
     """Whether a witness search with ``hits`` so far still tests ``g``.
 
-    It tests every graph up to the order of its first hit, and at a built-in
-    order the rest of that order too, so that the hit it reports, the least
-    by canonical key (``min(hits, key=u.graph6)``: for one order, graph6
-    strings of canonical forms sort as their keys), does not depend on the
-    order of the sweep.  At a file order it stops at the first hit.
+    It tests every graph up to the order of its first hit, and the rest of
+    that order too if ``g`` is a built-in class, so that the hit it reports,
+    the least by canonical key (``min(hits, key=graph6)``: for one order,
+    graph6 strings of canonical forms sort as their keys), does not depend on
+    the order of the sweep.  At a file order, whose graphs are no
+    ``BuiltClass``, it stops at the first hit.
     """
-    return not hits or (g.n == hits[0].n and not u.has_file_for("connected", g.n))
+    return not hits or (g.n == hits[0].n and isinstance(g, BuiltClass))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +461,7 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
             )
         # Weaker reading: "power domination equals domination" instead of both 1.
         if (gp == gamma) != lhs:
-            weaker_bad.append(u.graph6(g))
+            weaker_bad.append(graph6(g))
     if weaker_bad:
         run.notes.append(
             f"weaker reading (power domination = domination iff max degree n-1) fails on "
@@ -506,7 +489,7 @@ def _t4(run: VerifyReport, u: Universe, cap: int) -> str:
         if g.n <= 5:
             run.fail(g, "power domination number 1 (order <= 5)", "needs >= 2")
         elif g.n == 6:
-            two_at_six.append(u.graph6(g))
+            two_at_six.append(graph6(g))
         if twin_free:
             run.fail(
                 g,
@@ -706,12 +689,12 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
                     "max degree in {n-4, n-3}: power domination number <= 2",
                     str(_gp(g)),
                 )
-        if delta == g.n - 5 and _searching(u, hits, g) and not _pd_at_most(g, 2):
+        if delta == g.n - 5 and _searching(hits, g) and not _pd_at_most(g, 2):
             hits.append(g)
     if hits:
-        witness = min(hits, key=u.graph6)
+        witness = min(hits, key=graph6)
         run.notes.append(
-            f"witness: {u.graph6(witness)} has max degree n-5 and power domination "
+            f"witness: {graph6(witness)} has max degree n-5 and power domination "
             f"number {_gp(witness)} (re-checked standalone)"
         )
     else:
@@ -737,18 +720,18 @@ def _t10(run: VerifyReport, u: Universe, cap: int) -> str:
         run.checked += 1
         if any(lhs != rhs for *_, lhs, rhs in pairs):
             # The vertex labels must be those of the graph6 string the failure prints.
-            for v, w1, w2, lhs, rhs in _outside_pairs(u.shown(g)):
+            for v, w1, w2, lhs, rhs in _outside_pairs(shown(g)):
                 if lhs != rhs:
                     run.fail(
                         g,
                         f"vertex {v} (degree n-3) power dominates iff {w1},{w2} are not twins",
                         f"power_dominates={lhs}, twins={not rhs}",
                     )
-        if not any(rhs for *_, rhs in pairs) and _searching(u, hits, g) and _pd_at_most(g, 1):
+        if not any(rhs for *_, rhs in pairs) and _searching(hits, g) and _pd_at_most(g, 1):
             hits.append(g)
     if hits:
         run.notes.append(
-            f"converse-failure witness: {min(map(u.graph6, hits))} has power domination "
+            f"converse-failure witness: {min(map(graph6, hits))} has power domination "
             "number 1 although every degree n-3 vertex has a twin outside pair"
         )
     else:
@@ -813,23 +796,25 @@ def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T13", "lexicographic product power domination formula", 4, 5, "connected")
 def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = [u.shown(g) for g in u.between(2, cap)]
+    factors = [shown(g) for g in u.between(2, cap)]
     pairs = [(g, h) for g in factors for h in factors]
     extras = [
         (path(2), h_graph()),
         (path(2), complete_multipartite((3, 3))),
         (path(2), wagner_graph()),
     ]
+    # Each factor is solved once; the caches die with this call.
+    gp, gamma, gamma_t = cache(_gp), cache(_gamma), cache(lambda g: total_domination_number(g).value)
     for g, h in pairs + extras:
         run.checked += 1
         prod = lexicographic_product(g, h)
-        gp_h = _gp(h)
-        exp = _gamma(g) if gp_h == 1 else total_domination_number(g).value
+        gp_h = gp(h)
+        exp = gamma(g) if gp_h == 1 else gamma_t(g)
         got = _gp(prod)
         if got != exp:
             run.fail(
                 prod,
-                f"power domination {exp} for {u.graph6(g)} o {u.graph6(h)} "
+                f"power domination {exp} for {graph6(g)} o {graph6(h)} "
                 f"(right factor power domination {gp_h})",
                 str(got),
             )
@@ -854,8 +839,8 @@ def _t14(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T15", "Cartesian product power domination bounds", 5, None, "connected")
 def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
-    factors = [u.shown(g) for g in u.between(2, cap)]
-    small = [u.shown(g) for g in u.between(2, 3)]
+    factors = [shown(g) for g in u.between(2, cap)]
+    small = [shown(g) for g in u.between(2, 3)]
     pairs = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
     pairs += [(g, h_graph()) for g in small] + [(h_graph(), g) for g in small]
     # Each factor is solved once, and each product once for it and its
@@ -870,7 +855,7 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
             gp_prod = mirrored[g, h] = _gp(prod)
         gp_g = gp(g)
         gp_h = gp(h)
-        pair_tag = f"{u.graph6(g)} box {u.graph6(h)}"
+        pair_tag = f"{graph6(g)} box {graph6(h)}"
         if max(gp_g, gp_h) > gp_prod:
             run.fail(
                 prod,
@@ -979,13 +964,12 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
                     "power domination 1 implies the product with an edge needs <= 2",
                     str(_gp(prod)),
                 )
-        elif _searching(u, hits, g) and _pd_at_most(g, 2):
+        elif _searching(hits, g) and _pd_at_most(g, 2):
             run.checked += 1
             if _gp(cartesian_product(g, p2)) == 3:
                 hits.append(g)
-    factors = [u.shown(g) for g in u.between(2, 5)]
-    gamma = {g: _gamma(g) for g in factors}
-    pendant = {g: _pendant_path_dominatable(g) for g in factors}
+    factors = [shown(g) for g in u.between(2, 5)]
+    gamma, pendant = cache(_gamma), cache(_pendant_path_dominatable)
     mirrored: dict[tuple[Graph, Graph], bool] = {}  # g box h is isomorphic to h box g
     for g in factors:
         for h in factors:
@@ -996,24 +980,21 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             actual = mirrored.get((h, g))
             if actual is None:
                 actual = mirrored[g, h] = _pd_at_most(prod, 1)
-            candidates = []
-            if gamma[g] <= gamma[h]:
-                candidates.append((g, h))
-            if gamma[h] <= gamma[g]:
-                candidates.append((h, g))
-            pred = any(_product_pd1_characterization(a, b, pendant[b]) for a, b in candidates)
+            pred = any(
+                _product_pd1_characterization(a, b, pendant(b)) for a, b in ((g, h), (h, g)) if gamma(a) <= gamma(b)
+            )
             if actual != pred:
                 run.fail(
                     prod,
-                    f"{u.graph6(g)} box {u.graph6(h)}: product power domination 1 "
+                    f"{graph6(g)} box {graph6(h)}: product power domination 1 "
                     f"iff the structural characterization holds ({pred})",
                     f"power_domination_1={actual}",
                 )
     if hits:
-        witness = min(hits, key=u.graph6)
+        witness = min(hits, key=graph6)
         _recheck_power_domination(cartesian_product(witness, p2), 3)
         run.notes.append(
-            f"witness: {u.graph6(witness)} has power domination number 2 and its "
+            f"witness: {graph6(witness)} has power domination number 2 and its "
             "product with an edge needs 3 (re-checked standalone)"
         )
     else:

@@ -471,11 +471,11 @@ def test_verify_pool_does_not_pickle_a_rebound_cli_verify(capsys, monkeypatch):
 
 def test_verify_starts_at_most_one_worker_per_verifier(capsys, monkeypatch):
     import concurrent.futures
-    from concurrent.futures import Future
+    from concurrent.futures import Executor, Future
 
     sizes = []
 
-    class InProcessPool:
+    class InProcessPool(Executor):
         """Records the pool size asked for and runs each job at submit; starts no process."""
 
         def __init__(self, max_workers):

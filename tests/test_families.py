@@ -1,4 +1,5 @@
 import pathlib
+import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -17,6 +18,7 @@ from zfpd.families import (
     _iso_key,
     _iso_search,
     are_isomorphic,
+    BuiltClass,
     build_classes,
     canonical_graph,
     canonical_key,
@@ -509,7 +511,7 @@ def test_pool_build_equals_the_serial_build(monkeypatch):
     serial_connected = [build_classes("connected", n) for n in range(1, 7)]
     serial_trees = [build_classes("trees", n) for n in range(1, 9)]
     # An empty cache, so the orders are built again, through the pool.
-    monkeypatch.setattr(families, "_BUILT", {("connected", 1): (Graph(1),), ("trees", 1): (Graph(1),)})
+    monkeypatch.setattr(families, "_BUILT", {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)})
     with ProcessPoolExecutor(max_workers=2) as pool:
         u = Universe()
         u.build("connected", 6, pool, 2)
@@ -519,6 +521,16 @@ def test_pool_build_equals_the_serial_build(monkeypatch):
     assert [u.trees(n) for n in range(1, 9)] == serial_trees
     for classes in families._BUILT.values():  # no shard kept a class that another kept too
         assert all(a.adj < b.adj for a, b in zip(classes, classes[1:]))
+        assert all(type(g) is BuiltClass for g in classes)
+
+
+def test_built_classes_keep_their_type_through_a_pickle():
+    # pool jobs are sent their part of the universe pickled
+    for kind, top in (("connected", 6), ("trees", 8)):
+        for n in range(1, top + 1):
+            classes = build_classes(kind, n)
+            back = pickle.loads(pickle.dumps(classes))
+            assert back == classes and all(type(g) is BuiltClass for g in classes + back), (kind, n)
 
 
 def test_built_classes_are_their_own_iso_keys_in_key_order():

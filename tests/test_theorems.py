@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
-from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
+from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, BuiltClass, build_classes, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
 from zfpd import invariants, structure, theorems
 from zfpd.graph import Graph, bits, mask_of
-from zfpd.invariants import power_domination_number, zero_forcing_number
+from zfpd.invariants import path_cover_number, power_domination_number, zero_forcing_number
 from zfpd.structure import is_outerplanar
-from zfpd.products import cartesian_product
+from zfpd.products import cartesian_product, lexicographic_product
 from zfpd.propagation import is_power_dominating_set
 from zfpd.theorems import (
     _REGISTRY,
@@ -134,7 +134,9 @@ def test_a_file_covers_an_order_only_for_the_kinds_of_graph_it_holds(tmp_path):
 
 
 def test_prepare_refuses_before_building_anything():
-    class NoJobsPool:
+    from concurrent.futures import Executor
+
+    class NoJobsPool(Executor):  # its ``map`` submits each job
         def submit(self, fn, *args):
             raise AssertionError("nothing may be built")
 
@@ -331,7 +333,6 @@ def test_report_pickles_and_keeps_its_json_keys():
 def test_a_pickled_report_leaves_its_universe_behind():
     report = verify("T8", max_n=5)
     back = pickle.loads(pickle.dumps(report))
-    assert "_show" in vars(report) and "_show" not in vars(back)
     assert back.to_dict() == report.to_dict()
     assert sorted(report.to_dict()) == ["checked", "claim", "elapsed_s", "failures", "notes", "passed", "theorem", "universe"]
 
@@ -368,6 +369,21 @@ def test_printed_universe_graphs_are_in_canonical_labels():
     assert len(printed) == 3 + 4 + 12 + 1 + 8
     for g6 in printed:
         assert write_graph6(canonical_graph(parse_graph6(g6))) == g6
+
+
+def test_printing_goes_by_type_not_by_adjacency(tmp_path):
+    # A file graph equal to a built-in class whose key labels are not the
+    # canonical ones: the file graph prints as it is, the built-in one canonically.
+    built = next(g for g in build_classes("connected", 5) if canonical_graph(g) != g)
+    fname = tmp_path / "five.g6"
+    fname.write_text(write_graph6(built) + "\n", encoding="ascii")
+    (from_file,) = Universe([str(fname)]).connected(5)
+    assert from_file == built and isinstance(built, BuiltClass) and not isinstance(from_file, BuiltClass)
+    report = VerifyReport("T1", claim_of("T1"))
+    report.fail(from_file, "as it is", "")
+    report.fail(built, "canonical", "")
+    assert [f.graph6 for f in report.failures] == [write_graph6(built), write_graph6(canonical_graph(built))]
+    assert report.failures[0].graph6 != report.failures[1].graph6
 
 
 def test_t10_names_the_vertices_of_the_graph_it_prints(monkeypatch):
@@ -511,6 +527,35 @@ def test_t15_solves_one_product_of_each_mirrored_pair_and_each_factor_once(monke
     for name, seen in solved.items():
         factors = [g for g in seen if id(g) not in products]
         assert factors and len(factors) == len(set(factors)), name
+
+
+def test_t13_solves_each_factor_once(monkeypatch):
+    built: list[Graph] = []
+
+    def record(g, h):
+        built.append(lexicographic_product(g, h))
+        return built[-1]
+
+    monkeypatch.setattr(theorems, "lexicographic_product", record)
+    solved: dict[str, list[Graph]] = {"_gp": [], "_gamma": [], "total_domination_number": []}
+    for name, seen in solved.items():
+        monkeypatch.setattr(theorems, name, _recording(getattr(theorems, name), seen))
+    report = verify("T13")
+    assert report.passed and report.checked == len(built) == 9 * 9 + 3
+    products = {id(prod) for prod in built}
+    assert sum(id(g) in products for g in solved["_gp"]) == len(built)  # each product once
+    for name, seen in solved.items():
+        factors = [g for g in seen if id(g) not in products]
+        assert factors and len(factors) == len(set(factors)), name
+
+
+def test_tree_zero_forcing_number_is_its_path_cover_number():
+    # Z(T) = P(T) for every tree (AIM Minimum Rank group, LAA 2008): an
+    # oracle independent of the subset search.
+    trees = [t for n in range(1, 11) for t in build_classes("trees", n)]
+    assert len(trees) == 201
+    for t in trees:
+        assert _z(t) == path_cover_number(t).value, write_graph6(t)
 
 
 def test_both_copies_of_a_power_dominating_vertex_power_dominate_the_product_with_an_edge():
