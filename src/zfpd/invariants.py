@@ -15,7 +15,9 @@ left skips every top vertex ``t`` while the closure of the chosen vertices
 and ``0..t`` is not every vertex, and at the last vertex a failed closure
 drops every candidate inside it.  The shortcuts never change the answer,
 since each skips only subsets that fail: no set smaller than the minimum
-degree forces, a partial choice that already forces makes every
+degree forces, no zero forcing set has fewer than half as many vertices as
+the graph has leaves (its forcing chains are induced paths, and a leaf can
+only end one), a partial choice that already forces makes every
 completion force, a total dominating set never has fewer than two
 vertices, and the domination searches skip a branch whose union cannot
 cover every vertex even with all the rows still available to it.  The
@@ -24,29 +26,34 @@ size.
 
 The two partition-valued solvers answer 1 for a graph that is itself one
 part, a path or a spider, before listing any part.  Otherwise they list
-their candidate parts, the induced paths of a graph or the spiders of a
-tree, by growing each one a vertex at a time from a single vertex, and
-``_fewest_parts`` runs budgets ``k = 1, 2, ...`` through ``_minimum``.
-Budget ``k`` asks whether the vertices split into at most ``k`` parts, by a
-depth-first search over the parts that hold the lowest uncovered vertex,
-largest first; a memo keeps, for each vertex set it refutes, the largest
-budget refuted, from one ``k`` to the next.  At ``k = 2`` the search is a
-set lookup of each part's complement.  The witness takes, at each step, the
-smallest part whose remainder fits in one part fewer, which is the witness
-of a subset dynamic program that keeps the smallest part mask among the
-optimal ones; the tests compare the two.
+their candidate parts.  The induced paths of a graph grow a vertex at a
+time from one end.  The spiders of a tree are listed once each, from one
+vertex ``c``: one walk of each neighbour's side of the tree gives the legs
+at that neighbour, the paths starting there; a path is ``c`` plus at most
+one leg, listed from its lower end, and any other spider is its branch
+vertex ``c`` plus legs toward three or more neighbours, one product of the
+legs per neighbour.  ``_fewest_parts`` runs budgets ``k = 1, 2, ...``
+through ``_minimum``.  Budget ``k`` asks whether the vertices split into at
+most ``k`` parts, by a depth-first search over the parts that hold the
+lowest uncovered vertex, largest first; a memo keeps, for each vertex set
+it refutes, the largest budget refuted, from one ``k`` to the next.  At
+``k = 2`` the search is a set lookup of each part's complement.  The
+witness takes, at each step, the smallest part whose remainder fits in one
+part fewer, which is the witness of a subset dynamic program that keeps the
+smallest part mask among the optimal ones; the tests compare the two.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
 and the spider number a tree.  A cap bounds only a search, so an answer that
-needs none comes first: zero forcing's minimum-degree shortcut, a path, a
-spider.  The ``k``-subset searches share one guard, ``_sweepable``, which
-refuses a size ``k`` above 256 or with more than 1,000,000 subsets of ``n``
-vertices; the partition searches refuse a graph above the path cover or
-spider cap.  ``theorems`` imports those two order caps, and the largest
-order at which no size is refused, so ``verify`` refuses a run above one
-before any work.  A refusal is a ``ValueError``
-whose message ``zfpd compute`` reports, unchanged, under ``skipped``.
+needs none comes first: zero forcing's minimum-degree and leaf shortcuts,
+a path, a spider.  The ``k``-subset searches share one guard,
+``_sweepable``, which refuses a size ``k`` above 256 or with more than
+1,000,000 subsets of ``n`` vertices; the partition searches refuse a
+graph above the path cover or spider cap.  ``theorems`` imports those two
+order caps, and the largest order at which no size is refused, so
+``verify`` refuses a run above one before any work.  A refusal is a
+``ValueError`` whose message ``zfpd compute`` reports, unchanged, under
+``skipped``.
 """
 
 from __future__ import annotations
@@ -169,7 +176,11 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
     """Smallest-bitmask zero forcing set of size exactly ``k``, if one exists.
 
     Below the minimum degree there is none, and no search runs: each chosen
-    vertex keeps at least two unchosen neighbors, so nothing can force.
+    vertex keeps at least two unchosen neighbors, so nothing can force.  Nor
+    is there one below half the number of leaves: the forcing chains of
+    ``k`` vertices split the graph into ``k`` induced paths, since when a
+    vertex forces the rest of its chain is still white, and a leaf can only
+    end a chain.
 
     The search runs in the order of ``_first_subset``, but each level
     carries the closure of the vertices chosen so far, ``union``, and spreads
@@ -190,7 +201,8 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
       ``u``.
     """
     n = g.n
-    if n and k < g.degree_stats()[0] or not _sweepable(n, k, "zero forcing"):
+    degrees = [row.bit_count() for row in g.adj]
+    if n and (k < min(degrees) or 2 * k < degrees.count(1)) or not _sweepable(n, k, "zero forcing"):
         return None
     full = g.full_mask
     adj = g.adj
@@ -311,34 +323,49 @@ def _induced_path_masks(g: Graph) -> list[int]:
 
 
 def _spider_masks(t: Graph) -> list[int]:
-    """Masks of the vertex sets inducing a spider in the tree ``t``.
+    """Masks of the vertex sets inducing a spider in the tree ``t``, ascending.
 
-    Each spider grows from one vertex, one neighbour ``w`` at a time, since a
-    spider that loses a leaf is still one.  In a tree ``w`` sees exactly one
-    vertex ``u`` of the set, and only ``u`` gains in-set degree, so a second
-    branch vertex can appear only when ``u`` has just reached degree 3.
+    Each spider is listed once, from one vertex ``c``.  A leg at a
+    neighbour ``w`` of ``c`` is the path from ``w`` to a vertex on ``w``'s
+    side of the tree.  A path is listed from its lower end: ``c`` alone and
+    ``c`` plus each leg whose far end is above ``c``.  Any other spider has
+    exactly one branch vertex ``c``, and is ``c`` plus one leg toward each
+    of three or more of its neighbours.
     """
     adj = t.adj
-    found = {1 << v for v in range(t.n)}
-    stack = [(1 << v, adj[v]) for v in range(t.n)]
-    while stack:
-        mask, reach = stack.pop()
-        step = reach & ~mask
+    found = []
+    for c in range(t.n):
+        found.append(1 << c)
+        # legs (a mask per leg) at each neighbour, by one walk of its side
+        legs_at = []
+        step = adj[c]
         while step:
             low = step & -step
             step ^= low
-            m = mask | low
-            if m in found:
-                continue
-            w = low.bit_length() - 1
-            u = (adj[w] & mask).bit_length() - 1
-            if (adj[u] & m).bit_count() == 3 and any(
-                (adj[v] & m).bit_count() > 2 for v in bits(m ^ 1 << u)
-            ):
-                continue
-            found.add(m)
-            stack.append((m, reach | adj[w]))
-    return sorted(found)
+            legs = []
+            stack = [(low, low)]
+            while stack:
+                leg, tip = stack.pop()
+                legs.append(leg)
+                far = tip.bit_length() - 1
+                if far > c:
+                    found.append(1 << c | leg)
+                out = adj[far] & ~(leg | 1 << c)
+                while out:
+                    nxt = out & -out
+                    out ^= nxt
+                    stack.append((leg | nxt, nxt))
+            legs_at.append(legs)
+        if len(legs_at) < 3:
+            continue
+        # by_legs[i]: c plus one leg toward each of i neighbours, i = 3 for three or more
+        by_legs: list[list[int]] = [[1 << c], [], [], []]
+        for legs in legs_at:
+            for i in (3, 2, 1, 0):
+                by_legs[min(i + 1, 3)] += [m | leg for m in by_legs[i] for leg in legs]
+        found += by_legs[3]
+    found.sort()
+    return found
 
 
 def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
@@ -346,7 +373,8 @@ def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
     by_low: dict[int, list[int]] = {}
     for q in parts:
         by_low.setdefault(q & -q, []).append(q)
-    is_part = set(parts)
+    # 0 counts as a part: it is the remainder of a part that is all of ``s``.
+    is_part = {0, *parts}
     fail: dict[int, int] = {}
 
     def fits(s: int, j: int) -> bool:
@@ -358,9 +386,14 @@ def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
             return j == 1 and s in is_part
         if fail.get(s, 0) >= j:
             return False
-        for q in reversed(by_low[s & -s]):
-            if q & s == q and fits(s ^ q, j - 1):
-                return True
+        if j == 2:
+            for q in reversed(by_low[s & -s]):
+                if q & s == q and s ^ q in is_part:
+                    return True
+        else:
+            for q in reversed(by_low[s & -s]):
+                if q & s == q and fits(s ^ q, j - 1):
+                    return True
         fail[s] = j
         return False
 
@@ -425,8 +458,8 @@ def spider_number(t: Graph) -> ParamResult:
 
     A spider is answered without a search; any other tree above 20 vertices
     is refused: at that order, a vertex with 16 leaves next to one with 2
-    leaves already has 2^18 + 39 candidate parts, and listing them takes
-    most of a second.
+    leaves already has 2^18 + 39 candidate parts: listing them takes about
+    0.07 s and the whole search about 0.15 s.
     """
     _require_connected(t)
     if t.m != t.n - 1:

@@ -2,13 +2,15 @@
 
 Everything here recomputes from first principles with plain Python sets and
 itertools.combinations, deliberately sharing no code path with the library
-solvers: no bitmasks, no pruning, no Gosper enumeration.  The two exceptions
+solvers: no bitmasks, no pruning, no Gosper enumeration.  The exceptions
 are ``subset_dp_partition``, the subset DP the partition solvers used to run,
-kept on bitmasks as the reference for their value and witness, and
+kept on bitmasks as the reference for their value and witness;
 ``refine_every_cell``, the colour refinement the isomorphism search used to
-run, kept as the reference for its keys and generators, and
+run, kept as the reference for its keys and generators;
 ``rescanning_closure_with_log``, the bit-generator loop ``closure_with_log``
-used to run, kept as the reference for its canonical schedule.
+used to run, kept as the reference for its canonical schedule; and
+``grown_spider_masks``, the grow-and-dedup spider listing, kept as the
+reference for the listing from each spider's centre.
 """
 
 from __future__ import annotations
@@ -151,6 +153,38 @@ def naive_path_cover(g) -> int:
 
 def naive_spider_number(g) -> int:
     return _min_cover(g, _induces_spider)
+
+
+def grown_spider_masks(t) -> list[int]:
+    """Masks of the vertex sets inducing a spider in the tree ``t``, as
+    ``invariants._spider_masks`` listed them before it listed each spider
+    once from its centre: each spider grows from every vertex, one neighbour
+    ``w`` at a time, deduplicated through a set.  In a tree ``w`` sees
+    exactly one vertex ``u`` of the set, so a second branch vertex can appear
+    only when ``u`` has just reached degree 3."""
+    from zfpd.graph import bits
+
+    adj = t.adj
+    found = {1 << v for v in range(t.n)}
+    stack = [(1 << v, adj[v]) for v in range(t.n)]
+    while stack:
+        mask, reach = stack.pop()
+        step = reach & ~mask
+        while step:
+            low = step & -step
+            step ^= low
+            m = mask | low
+            if m in found:
+                continue
+            w = low.bit_length() - 1
+            u = (adj[w] & mask).bit_length() - 1
+            if (adj[u] & m).bit_count() == 3 and any(
+                (adj[v] & m).bit_count() > 2 for v in bits(m ^ 1 << u)
+            ):
+                continue
+            found.add(m)
+            stack.append((m, reach | adj[w]))
+    return sorted(found)
 
 
 def subset_dp_partition(g, parts) -> tuple[int, list[int]]:

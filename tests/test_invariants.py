@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from zfpd.graph import Graph, mask_of, k_subsets, is_tree
 from zfpd.families import (
+    build_classes,
     complete,
     complete_multipartite,
     cycle,
@@ -39,6 +41,7 @@ from oracles import (
     adj_sets,
     closed_nbhd_sets,
     closure_sets,
+    grown_spider_masks,
     naive_diameter,
     naive_domination,
     naive_path_cover,
@@ -158,8 +161,20 @@ def test_part_lists_are_every_inducing_set_in_ascending_order():
             assert _spider_masks(t) == every, t
 
 
+def test_spider_listing_matches_grown_listing():
+    # Each spider is listed once, from its centre or a path's lower end; the
+    # list must be the one growing every spider from every vertex gave.
+    broom = Graph(20, [(0, 1)] + [(0, v) for v in range(2, 18)] + [(1, 18), (1, 19)])
+    trees = [t for n in range(1, 13) for t in build_classes("trees", n)] + [broom, star(12)]
+    for t in trees:
+        masks = _spider_masks(t)
+        assert len(set(masks)) == len(masks), t
+        assert masks == grown_spider_masks(t), t
+    assert len(_spider_masks(broom)) == 262_183
+
+
 def test_one_part_is_decided_without_listing_parts(monkeypatch):
-    # star(20) has 2^19 + 19 spider parts; listing them took about 1.8 s.
+    # star(20) has 2^19 + 19 spider parts; listing them takes about 0.1 s.
     def refuse(g):
         raise AssertionError("parts listed")
 
@@ -357,6 +372,42 @@ def test_zero_forcing_sweep_rechecks_neighbours_of_forced_vertices():
     # From {0, 2}, 0 forces 4, and only then can 2 (a neighbour of 4, not its
     # forcer) force 3; a sweep that skips such vertices finds no set of size 2.
     assert find_zero_forcing_set(parse_graph6("D@{"), 2) == 0b101
+
+
+def _small_graphs():
+    return [g for n in range(1, 8) for g in build_classes("connected", n)] + [
+        t for n in range(1, 11) for t in build_classes("trees", n)
+    ]
+
+
+def test_path_cover_number_is_at_most_zero_forcing_number():
+    # The forcing chains of a minimum zero forcing set are that many induced
+    # paths covering every vertex (AIM Minimum Rank Work Group, LAA 2008).
+    for g in _small_graphs():
+        assert path_cover_number(g).value <= zero_forcing_number(g).value, g
+
+
+def test_leaf_bound_is_safe():
+    # Each leaf ends a forcing chain and each chain has two ends, so no set of
+    # fewer than half the leaves forces; the search answers None there unswept.
+    for g in _small_graphs():
+        verts = set(range(g.n))
+        leaves = sum(row.bit_count() == 1 for row in g.adj)
+        for k in range((leaves + 1) // 2):
+            assert find_zero_forcing_set(g, k) is None, (g, k)
+            assert all(closure_sets(g, s) != verts for s in combinations(range(g.n), k)), (g, k)
+
+
+def test_zero_forcing_number_on_graphs_with_many_leaves():
+    rng = random.Random(83)
+    graphs = [star(9), spider([1, 1, 2, 2])]
+    for n in (8, 9, 10):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(Graph(n, [(perm[v], perm[rng.randrange(v)]) for v in range(1, n)]))
+    for g in graphs:
+        assert zero_forcing_number(g).value == naive_zero_forcing(g), g
 
 
 def test_min_degree_bound_is_safe():
