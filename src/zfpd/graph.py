@@ -5,7 +5,8 @@ bitmask, which keeps closures, dominating sets and witnesses cheap to copy,
 hash and compare.  Graphs never change after construction, so they can be
 shared freely across threads and used as dictionary keys.  Connectivity,
 distances and eccentricities come from one breadth-first search,
-``Graph._layers``; the diameter grows every vertex's ball at once instead.
+``Graph._layers``; the diameter, and whether it exceeds a given radius,
+grow every vertex's ball at once instead.
 The hot loops walk a mask by its lowest set bit inline; ``bits`` is for
 the rest.
 
@@ -239,24 +240,18 @@ class Graph:
             raise ValueError("eccentricity requires a connected graph")
         return len(layers) - 1
 
-    def diameter(self) -> int:
-        """Largest distance between two vertices; requires a connected graph.
+    def _balls(self) -> Iterator[list[int]]:
+        """Yield the ball of every vertex at radius 1, 2, ... until a round grows none.
 
         Every ball grows at once.  Ball ``v`` starts as the closed row of
         ``v``, radius 1, and each round takes in its neighbours' balls, one
-        step wider.  The diameter is the radius at which every ball is every
-        vertex; a round in which no ball grows means the graph is disconnected.
+        step wider.
         """
-        n = self.n
-        if n < 2:
-            if n == 0:
-                raise ValueError("diameter is undefined for the empty graph")
-            return 0
         adj = self.adj
         full = self.full_mask
         balls = [row | 1 << v for v, row in enumerate(adj)]
-        radius = 1
-        while balls.count(full) < n:
+        while True:
+            yield balls
             grown = []
             for ball, row in zip(balls, adj):
                 if ball != full:
@@ -265,10 +260,51 @@ class Graph:
                         row &= row - 1
                 grown.append(ball)
             if grown == balls:
-                raise ValueError("diameter requires a connected graph")
+                return
             balls = grown
-            radius += 1
-        return radius
+
+    def diameter(self) -> int:
+        """Largest distance between two vertices; requires a connected graph.
+
+        The diameter is the radius at which every ball is every vertex; a
+        round in which no ball grows means the graph is disconnected.
+        """
+        n = self.n
+        if n < 2:
+            if n == 0:
+                raise ValueError("diameter is undefined for the empty graph")
+            return 0
+        full = self.full_mask
+        for radius, balls in enumerate(self._balls(), 1):
+            if balls.count(full) == n:
+                return radius
+        raise ValueError("diameter requires a connected graph")
+
+    def diameter_exceeds(self, r: int) -> bool:
+        """Whether some two vertices are more than ``r >= 0`` apart, which
+        includes any two vertices of a disconnected graph.
+
+        The balls grow as in ``diameter``, to radius ``r - 1``.  The last
+        round builds no ball: ``u`` lies within ``r`` of ``v`` exactly when
+        the ball of ``u`` meets the closed row of ``v``, and only the
+        vertices outside the ball of ``v`` are asked.
+        """
+        if r < 1:
+            return self.n > 1
+        full = self.full_mask
+        rounds = self._balls()
+        rows = next(rounds)
+        balls = [1 << v for v in range(self.n)] if r == 1 else rows
+        for _ in range(r - 2):
+            balls = next(rounds, balls)
+        for v, row in enumerate(rows):
+            out = full & ~balls[v]
+            while out:
+                low = out & -out
+                if not balls[low.bit_length() - 1] & row:
+                    return True
+                out ^= low
+        return False
 
     # -- structural transforms --------------------------------------------
 

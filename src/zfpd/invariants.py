@@ -17,36 +17,42 @@ drops every candidate inside it.  The shortcuts never change the answer,
 since each skips only subsets that fail: no set smaller than the minimum
 degree forces, no zero forcing set has fewer than half as many vertices as
 the graph has leaves (its forcing chains are induced paths, and a leaf can
-only end one), a partial choice that already forces makes every
-completion force, a total dominating set never has fewer than two
-vertices, and the domination searches skip a branch whose union cannot
-cover every vertex even with all the rows still available to it.  The
-tests compare every solver with unpruned reference sweeps for every set
-size.
+only end one), no ``k`` vertices force a graph of more than
+``kn - k(k+1)/2`` edges (only ``k`` black vertices at a time have not
+forced, and one that has has no white neighbour, so a vertex being forced
+sees at most ``k`` black ones), a partial choice that already forces
+makes every completion force, a total dominating set never has fewer than
+two vertices, and the domination searches skip a branch whose union
+cannot cover every vertex even with all the rows still available to it.
+The tests compare every solver with unpruned reference sweeps for every
+set size.
 
 The two partition-valued solvers answer 1 for a graph that is itself one
 part, a path or a spider, before listing any part.  Otherwise they list
 their candidate parts.  The induced paths of a graph grow a vertex at a
-time from one end.  The spiders of a tree are listed once each, from one
-vertex ``c``: one walk of each neighbour's side of the tree gives the legs
-at that neighbour, the paths starting there; a path is ``c`` plus at most
-one leg, listed from its lower end, and any other spider is its branch
-vertex ``c`` plus legs toward three or more neighbours, one product of the
-legs per neighbour.  ``_fewest_parts`` runs budgets ``k = 1, 2, ...``
-through ``_minimum``.  Budget ``k`` asks whether the vertices split into at
-most ``k`` parts, by a depth-first search over the parts that hold the
-lowest uncovered vertex, largest first; a memo keeps, for each vertex set
-it refutes, the largest budget refuted, from one ``k`` to the next.  At
-``k = 2`` the search is a set lookup of each part's complement.  The
-witness takes, at each step, the smallest part whose remainder fits in one
-part fewer, which is the witness of a subset dynamic program that keeps the
-smallest part mask among the optimal ones; the tests compare the two.
+time from one end, and each is kept from its lower end.  The spiders of a
+tree are listed once each, from one vertex ``c``: one walk of each
+neighbour's side of the tree gives the legs at that neighbour, the paths
+starting there; a path is ``c`` plus at most one leg, listed from its
+lower end, and any other spider is its branch vertex ``c`` plus legs
+toward three or more neighbours, one product of the legs per neighbour.
+``_fewest_parts`` runs budgets ``k = 1, 2, ...`` through ``_minimum``.
+Budget ``k`` asks whether the vertices split into at most ``k`` parts, by
+a depth-first search over the parts that hold the lowest uncovered
+vertex, largest first; a memo keeps, for each vertex set it refutes, the
+largest budget refuted, from one ``k`` to the next.  At ``k = 2`` the
+search is a set lookup of each part's complement.  The witness takes, at
+each step, the smallest part whose remainder fits in one part fewer,
+which is the witness of a subset dynamic program that keeps the smallest
+part mask among the optimal ones; the tests compare the two.
+``_path_cover_at_most`` runs the same budget test at one ``k`` alone, for
+a caller that only compares the path cover number with ``k``.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
 and the spider number a tree.  A cap bounds only a search, so an answer that
-needs none comes first: zero forcing's minimum-degree and leaf shortcuts,
-a path, a spider.  The ``k``-subset searches share one guard,
+needs none comes first: zero forcing's minimum-degree, leaf and edge
+shortcuts, a path, a spider.  The ``k``-subset searches share one guard,
 ``_sweepable``, which refuses a size ``k`` above 256 or with more than
 1,000,000 subsets of ``n`` vertices; the partition searches refuse a
 graph above the path cover or spider cap.  ``theorems`` imports those two
@@ -180,7 +186,11 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
     is there one below half the number of leaves: the forcing chains of
     ``k`` vertices split the graph into ``k`` induced paths, since when a
     vertex forces the rest of its chain is still white, and a leaf can only
-    end a chain.
+    end a chain.  Nor is there one on more than ``kn - k(k+1)/2`` edges:
+    at any moment exactly ``k`` black vertices have not yet forced, and a
+    vertex that has forced has no white neighbour, so a vertex being forced
+    has at most ``k`` black neighbours, and the ``k`` chosen vertices span
+    at most ``k(k-1)/2`` edges.
 
     The search runs in the order of ``_first_subset``, but each level
     carries the closure of the vertices chosen so far, ``union``, and spreads
@@ -202,7 +212,9 @@ def find_zero_forcing_set(g: Graph, k: int) -> Optional[int]:
     """
     n = g.n
     degrees = [row.bit_count() for row in g.adj]
-    if n and (k < min(degrees) or 2 * k < degrees.count(1)) or not _sweepable(n, k, "zero forcing"):
+    if n and (
+        k < min(degrees) or 2 * k < degrees.count(1) or sum(degrees) > k * (2 * n - k - 1)
+    ) or not _sweepable(n, k, "zero forcing"):
         return None
     full = g.full_mask
     adj = g.adj
@@ -300,26 +312,30 @@ def total_domination_number(g: Graph) -> ParamResult:
 
 
 def _induced_path_masks(g: Graph) -> list[int]:
-    """Masks of all vertex sets inducing a path, single vertices included.
+    """Masks of all vertex sets inducing a path, single vertices included, ascending.
 
-    Each path grows from one end: a neighbour of the tail extends it only if
-    it sees the tail alone, which keeps the path induced.
+    Each path grows from one end, ``start``.  ``blocked`` holds the path
+    and the neighbours of every vertex on it but the tail, so a neighbour
+    of the tail outside it sees the tail alone and extends the path as an
+    induced one.  A path is grown from both of its ends and kept from its
+    lower one.
     """
     adj = g.adj
-    found = {1 << v for v in range(g.n)}
-    stack = [(1 << v, v) for v in range(g.n)]
+    found = [1 << v for v in range(g.n)]
+    stack = [(1 << v, v, v, 1 << v) for v in range(g.n)]
     while stack:
-        mask, tail = stack.pop()
-        step = adj[tail] & ~mask
+        mask, start, tail, blocked = stack.pop()
+        step = adj[tail] & ~blocked
+        blocked |= adj[tail]
         while step:
             low = step & -step
             step ^= low
             w = low.bit_length() - 1
-            if adj[w] & mask == 1 << tail:
-                grown = mask | low
-                found.add(grown)
-                stack.append((grown, w))
-    return sorted(found)
+            if w > start:
+                found.append(mask | low)
+            stack.append((mask | low, start, w, blocked))
+    found.sort()
+    return found
 
 
 def _spider_masks(t: Graph) -> list[int]:
@@ -368,8 +384,12 @@ def _spider_masks(t: Graph) -> list[int]:
     return found
 
 
-def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
-    """Fewest of the ascending ``parts`` partitioning all vertices of ``g``."""
+def _budgets(parts: list[int]) -> tuple[Callable[[int, int], bool], dict[int, list[int]]]:
+    """The budget test over the ascending ``parts``, and the parts by lowest vertex.
+
+    ``fits(s, j)`` is whether the vertex set ``s`` splits into at most ``j``
+    parts.
+    """
     by_low: dict[int, list[int]] = {}
     for q in parts:
         by_low.setdefault(q & -q, []).append(q)
@@ -378,8 +398,7 @@ def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
     fail: dict[int, int] = {}
 
     def fits(s: int, j: int) -> bool:
-        # Whether ``s`` splits into at most ``j`` parts.  ``fail[s]`` is the
-        # largest budget refuted for ``s`` so far.
+        # ``fail[s]`` is the largest budget refuted for ``s`` so far.
         if not s:
             return True
         if j < 2:
@@ -396,6 +415,13 @@ def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
                     return True
         fail[s] = j
         return False
+
+    return fits, by_low
+
+
+def _fewest_parts(g: Graph, parts: list[int]) -> list[int]:
+    """Fewest of the ascending ``parts`` partitioning all vertices of ``g``."""
+    fits, by_low = _budgets(parts)
 
     def find(g: Graph, k: int) -> Optional[list[int]]:
         # Each step takes the smallest part whose remainder fits in one part fewer.
@@ -430,17 +456,35 @@ def _path_order(g: Graph, mask: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def _path_parts(g: Graph) -> Optional[list[int]]:
+    """The induced paths of ``g``, or ``None`` if ``g`` is a path itself.
+
+    Refuses an empty or disconnected graph, and any graph other than a path
+    above 24 vertices.
+    """
+    _require_connected(g)
+    if is_path(g):
+        return None
+    if g.n > _PATH_COVER_CAP:
+        raise ValueError(f"path cover search is capped at {_PATH_COVER_CAP} vertices")
+    return _induced_path_masks(g)
+
+
 def path_cover_number(g: Graph) -> ParamResult:
     """Fewest vertex-disjoint induced paths covering every vertex.
 
     Exact, by ``_fewest_parts``.  A path is answered without a search; any
     other graph above 24 vertices is refused rather than searched.
     """
-    _require_connected(g)
-    if g.n > _PATH_COVER_CAP and not is_path(g):
-        raise ValueError(f"path cover search is capped at {_PATH_COVER_CAP} vertices")
-    masks = [g.full_mask] if is_path(g) else _fewest_parts(g, _induced_path_masks(g))
+    parts = _path_parts(g)
+    masks = [g.full_mask] if parts is None else _fewest_parts(g, parts)
     return ParamResult(len(masks), tuple(_path_order(g, q) for q in masks))
+
+
+def _path_cover_at_most(g: Graph, k: int) -> bool:
+    """Whether ``path_cover_number(g).value <= k``: one budget test at ``k``."""
+    parts = _path_parts(g)
+    return k >= 1 if parts is None else _budgets(parts)[0](g.full_mask, k)
 
 
 def is_spider(t: Graph) -> bool:

@@ -9,7 +9,9 @@ different hosts coincide a lot.
 
 Planarity excludes complete-5 and complete-bipartite-3-3 minors behind the
 edge-count prefilter.  Outerplanarity needs no minor search: it peels
-vertices of degree at most 2, as in Mitchell's linear-time reduction.
+vertices of degree at most 2, as in Mitchell's linear-time reduction
+(IPL 9, 1979), on adjacency bitmasks, with a mask per vertex for the edges
+whose one side, and for those whose both sides, peeled vertices fill.
 
 The host cap bounds only the contraction search, so the answers that need
 none come before it: the edge bound of planarity, and a host with fewer
@@ -162,28 +164,52 @@ def has_minor(g: Graph, pattern: Graph) -> MinorWitness | None:
 
 def is_outerplanar(g: Graph) -> bool:
     """Mitchell's reduction: peel the lowest vertex of degree at most 2, and
-    join its neighbours if it has two.  ``sides[a][b]`` counts the sides of
-    edge ``ab`` that peeled vertices fill (0-2); an edge joined across a
-    full edge is full itself, and a full edge asked to take one more side
-    leaves some vertex off the outer face."""
-    if g.n >= 2 and g.m > 2 * g.n - 3:
+    join its neighbours if it has two.  ``rows`` is the graph left so far;
+    ``one[a]`` and ``two[a]`` hold the neighbours ``b`` of ``a`` such that
+    peeled vertices fill one side, or both sides, of edge ``ab``.  An edge
+    joined across a full edge is full itself, and a full edge asked to take
+    one more side leaves some vertex off the outer face.  No degree grows,
+    so ``ready``, the vertices left of degree at most 2, only gains the
+    neighbours of a peeled vertex."""
+    n = g.n
+    if n >= 2 and g.m > 2 * n - 3:
         return False
-    sides = [dict.fromkeys(bits(row), 0) for row in g.adj]
-    left = set(range(g.n))
-    while left:
-        v = min((w for w in left if len(sides[w]) <= 2), default=None)
-        if v is None:
+    rows = list(g.adj)
+    one = [0] * n
+    two = [0] * n
+    ready = sum(1 << v for v, row in enumerate(rows) if row.bit_count() <= 2)
+    for _ in range(n):
+        if not ready:
             return False
-        left.remove(v)
-        for w in sides[v]:
-            del sides[w][v]
-        if len(sides[v]) == 2:
-            (a, va), (b, vb) = sides[v].items()
-            new = 2 if 2 in (va, vb) else 1
-            old = sides[a].get(b)
-            if old is not None and (old == 2 or new == 2):
-                return False
-            sides[a][b] = sides[b][a] = new if old is None else old + new
+        low = ready & -ready
+        ready ^= low
+        v = low.bit_length() - 1
+        row = rows[v]
+        if row.bit_count() == 2:
+            a_bit = row & -row
+            b_bit = row ^ a_bit
+            a, b = a_bit.bit_length() - 1, b_bit.bit_length() - 1
+            if rows[a] & b_bit:
+                if two[a] & b_bit or two[v]:
+                    return False
+                side = two if one[a] & b_bit else one
+                one[a] &= ~b_bit
+                one[b] &= ~a_bit
+            else:
+                rows[a] |= b_bit
+                rows[b] |= a_bit
+                side = two if two[v] else one
+            side[a] |= b_bit
+            side[b] |= a_bit
+        while row:
+            bit = row & -row
+            row ^= bit
+            w = bit.bit_length() - 1
+            rows[w] ^= low
+            one[w] &= ~low
+            two[w] &= ~low
+            if rows[w].bit_count() <= 2:
+                ready |= 1 << w
     return True
 
 

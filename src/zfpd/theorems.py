@@ -49,7 +49,8 @@ it from the smallest order with any hit: at a built-in order, the hit with
 the least canonical key, whatever order the graphs are swept in; at a file
 order, the first hit in file order, and the search stops there.
 
-A verifier solves for values and solves nothing it already holds.  ``_gp``
+A verifier solves for values, only what it checks and nothing it already
+holds: T2 and T12 take a path cover number or diameter only to fail.  ``_gp``
 and ``_z`` run the subset searches through ``invariants._minimum`` and build
 no force log; only ``_recheck_power_domination``, which certifies T16's
 witness, asks for a certificate.  G box H and H box G are isomorphic through
@@ -101,6 +102,7 @@ from .invariants import (  # noqa: F401
     _SPIDER_CAP,
     _induced_path_masks,
     _minimum,
+    _path_cover_at_most,
     domination_number,
     find_power_dominating_set,
     find_zero_forcing_set,
@@ -433,7 +435,7 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
             run.checked += 1
             z_is_2 = not _zf_exists(g, 1) and _zf_exists(g, 2)
             outer = is_outerplanar(g)
-            rhs = outer and path_cover_number(g).value == 2
+            rhs = outer and not is_path(g) and _path_cover_at_most(g, 2)
             if z_is_2 != rhs:
                 z = _z(g)
                 pc = path_cover_number(g).value
@@ -782,10 +784,8 @@ def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
         run.checked += 1
         gt = total_domination_number(g).value
         c = g.complement()
-        diam_c: float = c.diameter() if c.is_connected() else float("inf")
-        lhs = gt == 2
-        rhs = diam_c > 2
-        if lhs != rhs:
+        if (gt == 2) != c.diameter_exceeds(2):
+            diam_c: float = c.diameter() if c.is_connected() else float("inf")
             run.fail(
                 g,
                 "total domination 2 iff complement diameter > 2",

@@ -10,7 +10,9 @@ run, kept as the reference for its keys and generators;
 ``rescanning_closure_with_log``, the bit-generator loop ``closure_with_log``
 used to run, kept as the reference for its canonical schedule; and
 ``grown_spider_masks``, the grow-and-dedup spider listing, kept as the
-reference for the listing from each spider's centre.
+reference for the listing from each spider's centre.  ``peeled_outerplanar``
+is the peel over a dict of dicts that ``is_outerplanar`` used to run, kept
+as the reference for the peel on bitmasks.
 """
 
 from __future__ import annotations
@@ -185,6 +187,30 @@ def grown_spider_masks(t) -> list[int]:
             found.add(m)
             stack.append((m, reach | adj[w]))
     return sorted(found)
+
+
+def peeled_outerplanar(g) -> bool:
+    """Mitchell's peel as ``is_outerplanar`` used to run it: ``sides[a][b]``
+    counts the sides of edge ``ab`` that peeled vertices fill (0-2)."""
+    if g.n >= 2 and g.m > 2 * g.n - 3:
+        return False
+    sides = [dict.fromkeys(nbrs, 0) for nbrs in adj_sets(g)]
+    left = set(range(g.n))
+    while left:
+        v = min((w for w in left if len(sides[w]) <= 2), default=None)
+        if v is None:
+            return False
+        left.remove(v)
+        for w in sides[v]:
+            del sides[w][v]
+        if len(sides[v]) == 2:
+            (a, va), (b, vb) = sides[v].items()
+            new = 2 if 2 in (va, vb) else 1
+            old = sides[a].get(b)
+            if old is not None and (old == 2 or new == 2):
+                return False
+            sides[a][b] = sides[b][a] = new if old is None else old + new
+    return True
 
 
 def subset_dp_partition(g, parts) -> tuple[int, list[int]]:

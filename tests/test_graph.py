@@ -122,6 +122,18 @@ def test_diameter_examples():
         Graph(0).diameter()
 
 
+def test_diameter_exceeds_matches_the_bfs_oracle():
+    rng = random.Random(37)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.7))
+        try:
+            d = naive_diameter(g)
+        except ValueError:
+            d = math.inf  # disconnected
+        for r in range(4):
+            assert g.diameter_exceeds(r) == (d > r), (g, r)
+
+
 def test_diameter_matches_the_bfs_oracle():
     for n in range(1, 8):
         for g in build_classes("connected", n):

@@ -21,6 +21,7 @@ from zfpd.families import (
 from zfpd import invariants
 from zfpd.invariants import (
     _induced_path_masks,
+    _path_cover_at_most,
     _spider_masks,
     domination_number,
     find_power_dominating_set,
@@ -396,6 +397,35 @@ def test_leaf_bound_is_safe():
         for k in range((leaves + 1) // 2):
             assert find_zero_forcing_set(g, k) is None, (g, k)
             assert all(closure_sets(g, s) != verts for s in combinations(range(g.n), k)), (g, k)
+
+
+def test_edge_bound_is_safe():
+    # While k vertices force, each vertex being forced has at most k black
+    # neighbours, so no set of k vertices forces a graph with more than
+    # kn - k(k+1)/2 edges; the search answers None there unswept.
+    for g in _small_graphs():
+        verts = set(range(g.n))
+        degrees = sum(row.bit_count() for row in g.adj)
+        for k in range(g.n + 1):
+            if degrees > k * (2 * g.n - k - 1):
+                assert find_zero_forcing_set(g, k) is None, (g, k)
+                assert all(closure_sets(g, s) != verts for s in combinations(range(g.n), k)), (g, k)
+    # graphs that meet the bound exactly still force
+    fans = [Graph(n, [(v, v + 1) for v in range(n - 2)] + [(v, n - 1) for v in range(n - 1)]) for n in range(3, 10)]
+    tight = [(path(n), 1) for n in range(2, 10)] + [(f, 2) for f in fans] + [(complete(n), n - 1) for n in range(2, 10)]
+    for g, k in tight:
+        assert 2 * g.m == k * (2 * g.n - k - 1), g
+        assert find_zero_forcing_set(g, k) is not None, (g, k)
+
+
+def test_path_cover_at_most_matches_the_number():
+    rng = random.Random(47)
+    graphs = [g for n in range(1, 8) for g in build_classes("connected", n)]
+    graphs += [random_connected_graph(rng, rng.randint(10, 12), rng.uniform(0.1, 0.4)) for _ in range(20)]
+    for g in graphs:
+        pc = path_cover_number(g).value
+        for k in (1, 2, 3):
+            assert _path_cover_at_most(g, k) == (pc <= k), (g, k)
 
 
 def test_zero_forcing_number_on_graphs_with_many_leaves():

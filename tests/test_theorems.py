@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 from collections import Counter
@@ -27,6 +28,14 @@ from zfpd.theorems import (
 )
 
 H_GRAPH_G6 = write_graph6(canonical_graph(h_graph()))
+
+
+def test_t12_right_side_equals_the_complement_diameter_form():
+    for n in range(1, 8):
+        for g in build_classes("connected", n):
+            c = g.complement()
+            diam = c.diameter() if c.is_connected() else math.inf
+            assert c.diameter_exceeds(2) == (diam > 2), g
 
 
 def test_theorem_ids_complete():
