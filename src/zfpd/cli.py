@@ -74,10 +74,13 @@ def _witness_json(witness) -> list:
 def _read_graphs(path: str, edgelist: bool) -> list[Graph]:
     with open(path, encoding="latin-1") as fh:  # every byte decodes; the parsers name the bad line
         lines = fh.readlines()
-    if edgelist:
-        g = parse_edge_list(lines)
-        return [g] if g is not None else []
-    return read_graph6_lines(lines)
+    try:
+        if edgelist:
+            g = parse_edge_list(lines)
+            return [g] if g is not None else []
+        return read_graph6_lines(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _ints(option: str, text: str, count: int | None = None) -> tuple[int, ...]:

@@ -7,9 +7,11 @@ automorphism group, kept only if its new vertex is the class's canonical
 deletion, so no key of another class is ever looked up.  A complete
 isomorphism key, found by colour refinement and individualization, decides
 the canonical deletion in the same search that yields the automorphism
-group's generators, which the next order reuses.  The key is itself an
-adjacency, the best leaf's labelling of the class, so ``build_classes``
-keeps each class in those labels, as a ``BuiltClass``, sorted by key; a
+group's generators; a parent's generators are searched for where its
+candidates are made, so nothing but the classes passes from one order to
+the next.  The key is itself an adjacency, the best leaf's labelling of the
+class, so ``build_classes`` keeps each class in those labels, as a
+``BuiltClass``, sorted by key, and is the one cache of built orders; a
 process pool can share out the parents.
 
 The canonical labelling is the lexicographically smallest upper-triangle
@@ -587,12 +589,13 @@ def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterat
 # only if its new vertex lies in that vertex's orbit, so each class is kept
 # exactly once, from the parent and orbit that its canonical deletion gives.
 # The invariant rejects most children before any search; a survivor pays one
-# ``_iso_search``, which also yields its generators, carried to the next
-# order in key labels.  Each key, the adjacency of one member of its class,
-# is the class's representative: it is its own ``_iso_key``, and the classes
-# are sorted by it.  The shard step (``_expand``) takes a slice of the
-# parents, so a process pool can share an order out; the slices yield
-# disjoint lists, and the serial build runs the step on one slice.
+# ``_iso_search``, and each parent one more, for the generators that prune
+# its candidates.  Each key, the adjacency of one member of its class, is the
+# class's representative: it is its own ``_iso_key``, and the classes are
+# sorted by it.  The shard step (``_expand``) takes a slice of the parents'
+# adjacencies and returns keys, so a process pool can share an order out and
+# ships nothing else either way; the slices yield disjoint lists, and the
+# serial build runs the step on one slice.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -642,8 +645,8 @@ def _deletable(adj: tuple[int, ...], v: int) -> bool:
     return seen == rest
 
 
-def _canonical_child(child: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """``child``'s ``_iso_key`` and automorphism generators in key labels if its last vertex is a canonical deletion, else ``None``."""
+def _canonical_child(child: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``child``'s ``_iso_key`` if its last vertex is a canonical deletion, else ``None``."""
     new = len(child) - 1
     degree = [row.bit_count() for row in child]
     of_degree: dict[int, int] = {}
@@ -665,29 +668,18 @@ def _canonical_child(child: tuple[int, ...]) -> tuple[tuple[int, ...], list[tupl
             if perm[v] not in orbit:
                 orbit.add(perm[v])
                 todo.append(perm[v])
-    if new not in orbit:
-        return None
-    pos = [0] * len(order)
-    for i, v in enumerate(order):
-        pos[v] = i
-    return key, [tuple([pos[perm[v]] for v in order]) for perm in gens]
+    return key if new in orbit else None
 
 
-def _expand(parents: Sequence[tuple], kind: str, carry: bool) -> list[tuple]:
-    """Shard step: ``(key, generators)`` of each class whose canonical deletion is in ``parents``.
+def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> list[tuple[int, ...]]:
+    """Shard step: the key of each class whose canonical deletion is in ``parents``.
 
-    ``parents`` pairs each parent's adjacency with its generators, or with
-    ``None`` to compute them.  The generators come back in key labels if
-    ``carry`` is set, else as ``None``.
+    ``parents`` holds bare adjacencies; each one's automorphism generators,
+    which prune its candidates to one per orbit, are searched for here.
     """
     extend = _EXTEND[kind][0]
-    found = []
-    for adj, gens in parents:
-        for child in extend(adj, _iso_search(adj)[1] if gens is None else gens):
-            kept = _canonical_child(child)
-            if kept is not None:
-                found.append(kept if carry else (kept[0], None))
-    return found
+    children = (child for adj in parents for child in extend(adj, _iso_search(adj)[1]))
+    return [key for key in map(_canonical_child, children) if key is not None]
 
 
 def _from_key(key: tuple[int, ...], n: int) -> Graph:
@@ -719,12 +711,9 @@ def _slices(items: list, shards: int) -> list[list]:
     return [items[i::shards] for i in range(min(shards, len(items)))]
 
 
-# (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one order at a time
+# (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one
+# order at a time, and the one place a built order is kept
 _BUILT: dict[tuple[str, int], tuple[BuiltClass, ...]] = {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)}
-# (kind, order) -> each class's automorphism generators in key labels, kept for
-# an order below the kind's cap until the next is built; the shard step
-# searches again for a parent whose generators are missing
-_GENS: dict[tuple[str, int], list] = {}
 # (kind, order) -> the same classes in canonical labels, sorted by ``_canon`` key; filled by ``_labelled``
 _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
@@ -733,9 +722,10 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
     """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
 
     Each class is the ``BuiltClass`` whose adjacency is its ``_iso_key``,
-    and the classes are sorted by it.  Missing orders are built upward from
-    the highest one cached, each order's shard step split ``shards`` ways and
-    mapped over ``pool`` (an ``Executor``) or, without one, in this process.
+    and the classes are sorted by it.  This is the one cache of built
+    orders.  Missing orders are built upward from the highest one cached,
+    each order's shard step split ``shards`` ways and mapped over ``pool``
+    (an ``Executor``) or, without one, in this process.
     The result does not depend on ``pool`` or ``shards``.  An unknown
     ``kind``, or an order above its cap (``MAX_BUILTIN_ORDER`` or
     ``MAX_TREE_ORDER``), is refused with ``ValueError``.
@@ -746,14 +736,10 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
     if not 1 <= n <= top:
         raise ValueError(f"built-in {kind} enumeration covers 1..{top}, not {n}")
     if (kind, n) not in _BUILT:
-        parents = build_classes(kind, n - 1, pool, shards)
-        gens = _GENS.pop((kind, n - 1), [None] * len(parents))
-        items = [(g.adj, auts) for g, auts in zip(parents, gens)]
-        parts = (pool.map if pool else map)(partial(_expand, kind=kind, carry=n < top), _slices(items, shards))
-        found = sorted(pair for part in parts for pair in part)  # keys are distinct
-        _BUILT[kind, n] = tuple(BuiltClass._of(key) for key, _ in found)
-        if n < top:
-            _GENS[kind, n] = [gens for _, gens in found]
+        parents = [g.adj for g in build_classes(kind, n - 1, pool, shards)]
+        parts = (pool.map if pool else map)(partial(_expand, kind=kind), _slices(parents, shards))
+        keys = sorted(key for part in parts for key in part)  # keys are distinct
+        _BUILT[kind, n] = tuple(BuiltClass._of(key) for key in keys)
     return _BUILT[kind, n]
 
 

@@ -508,7 +508,9 @@ def spider_number(t: Graph) -> ParamResult:
     _require_connected(t)
     if t.m != t.n - 1:
         raise ValueError("spider number needs a tree")
-    if t.n > _SPIDER_CAP and not is_spider(t):
+    # t is a tree, so it is a spider iff at most one vertex branches: no is_spider search
+    spider = sum(1 for row in t.adj if row.bit_count() > 2) <= 1
+    if t.n > _SPIDER_CAP and not spider:
         raise ValueError(f"spider search is capped at {_SPIDER_CAP} vertices")
-    masks = [t.full_mask] if is_spider(t) else _fewest_parts(t, _spider_masks(t))
+    masks = [t.full_mask] if spider else _fewest_parts(t, _spider_masks(t))
     return ParamResult(len(masks), tuple(tuple(bits(q)) for q in masks))

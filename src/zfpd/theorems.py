@@ -11,12 +11,15 @@ connected graphs for T1-T4, T8-T10, T12, T13, T15 and T16, the trees for
 T7.  T5, T6, T11 and T14 build their own family members and never read
 ``u``; each registry entry names the universe its verifier sweeps.  Pass
 one ``Universe`` to every verifier of a run: its files are parsed once,
-when it is built, and a built-in order is enumerated once, on first use, so
-a report's ``elapsed_s`` excludes file parsing and includes enumeration.
+when it is built, so a report's ``elapsed_s`` excludes file parsing.  A
+built-in order is enumerated once per process, on first use, and kept by
+``families.build_classes`` alone, so ``elapsed_s`` includes enumeration.
 ``prepare`` enumerates the orders a set of verifiers sweeps before any of
-them starts, sharded over a process pool; their ``elapsed_s`` then excludes
-it too.  A ``Universe`` pickles, so pool workers can be sent it.
-``universe=None`` means the built-in enumeration alone.
+them starts, sharded over a process pool, and hands each verifier a part of
+the universe that holds every order it reads; their ``elapsed_s`` then
+excludes enumeration too.  A ``Universe`` pickles, so pool workers can be
+sent their parts, and they build nothing.  ``universe=None`` means the
+built-in enumeration alone.
 
 Each rule of a run lives in one place.  ``_cap`` alone refuses an unknown
 id, a bad ``max_n``, an order above a verifier's own cap and an order above
@@ -178,9 +181,12 @@ class Universe:
     and filtered here, once: graphs that are not connected, the order-0
     graph among them, are dropped, and so is a repeat of a graph already
     read, from the same file or another; isomorphic relabelings are kept.
-    A built-in order is enumerated on first use, or before it by ``build``;
-    ``connected``, ``trees`` and ``build`` share one lookup, ``_order``.
-    ``connected`` and ``trees`` return the same tuple on every call.
+    A file that does not parse is refused with its path and line.  A
+    universe holds only its file orders; ``connected`` and ``trees`` share
+    one lookup, ``_order``, which asks ``build_classes`` for any other
+    order, so it is built on first use and kept there, and both return the
+    same tuple on every call.  Only a ``part``, which a pool job is sent,
+    also holds built orders.
     ``between(lo, hi)`` yields the connected graphs of orders ``lo`` to
     ``hi``, asking ``connected`` for one order at a time.
     """
@@ -188,12 +194,15 @@ class Universe:
     def __init__(self, files: Iterable[str] = ()) -> None:
         held: dict[str, dict[int, dict[Graph, None]]] = {"connected": {}, "trees": {}}
         # kind -> the orders files supply for it -> their file names; read by
-        # part, source and has_file_for, and fixed once the files are read
+        # source and has_file_for, and fixed once the files are read
         self._names: dict[str, dict[int, dict[str, None]]] = {"connected": {}, "trees": {}}
         for fname in files:
-            # latin-1 decodes every byte, so a stray one is reported with its line.
+            # latin-1 decodes every byte, so a stray one is reported with its file and line.
             with open(fname, encoding="latin-1") as fh:
-                graphs = read_graph6_lines(fh)
+                try:
+                    graphs = read_graph6_lines(fh)
+                except ValueError as exc:
+                    raise ValueError(f"{fname}: {exc}") from None
             base = os.path.basename(fname)
             for g in graphs:
                 if g.n and g.is_connected():  # is_connected refuses the order-0 graph
@@ -201,35 +210,24 @@ class Universe:
                     for kind in ("connected", "trees") if g.m == g.n - 1 else ("connected",):
                         held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
                         self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
+        # kind -> order -> its graphs: the file orders, and in a part also the built ones it ships
         self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
-
-    def build(self, kind: str, top: int, pool: Executor | None, shards: int) -> None:
-        """Build the ``kind`` orders ``1..top`` not yet held.
-
-        ``pool`` and ``shards`` are as in ``families.build_classes``, which
-        refuses an order above the built-in cap.
-        """
-        for n in range(1, top + 1):
-            self._order(kind, n, pool, shards)
 
     def part(self, kind: str | None, top: int) -> Universe:
         """A copy holding only what a verifier of ``kind`` reads up to ``top``.
 
-        It keeps that kind's file orders and its other orders up to ``top``,
-        so a pool job is not sent orders its verifier never reads.
+        It holds that kind's orders ``1..top``, built ones included, and its
+        file orders, so a pool job needs no build and is sent no order its
+        verifier never reads.
         """
         view = copy.copy(self)
-        view._orders = {
-            name: {n: gs for n, gs in held.items() if name == kind and (n <= top or n in self._names[name])}
-            for name, held in self._orders.items()
-        }
+        view._orders = {name: {} for name in self._orders}
+        if kind is not None:
+            view._orders[kind] = {n: self._order(kind, n) for n in range(1, top + 1)} | self._orders[kind]
         return view
 
-    def _order(self, kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[Graph, ...]:
-        held = self._orders[kind]
-        if n not in held:
-            held[n] = build_classes(kind, n, pool, shards)
-        return held[n]
+    def _order(self, kind: str, n: int) -> tuple[Graph, ...]:
+        return self._orders[kind].get(n) or build_classes(kind, n)  # a held order is never empty
 
     def connected(self, n: int) -> tuple[Graph, ...]:
         return self._order("connected", n)
@@ -378,18 +376,19 @@ def verify(tid: str, *, max_n: int | None = None, universe: Universe | None = No
 def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executor | None, shards: int) -> list:
     """Build the built-in orders that the verifiers ``ids`` sweep; return the part each reads.
 
-    Every order up to a verifier's cap that no file covers is enumerated in
-    ``universe`` before any verifier starts, in ``pool`` split ``shards`` ways
-    (see ``families.build_classes``).  A run that ``verify`` would refuse is
+    Every order up to a verifier's cap that no file covers is enumerated by
+    ``families.build_classes`` before any verifier starts, in ``pool`` split
+    ``shards`` ways, and each part holds the orders its verifier reads.  A run that ``verify`` would refuse is
     refused here, with the same message, before anything is built, so no
     order above a verifier's own cap is ever built for it.
     """
     caps = [_cap(tid, max_n, universe) for tid in ids]
     kinds = [_REGISTRY[tid][3] for tid in ids]
     for kind in ("connected", "trees"):
-        tops = [cap for sweeps, cap in zip(kinds, caps) if sweeps == kind]
-        if tops:
-            universe.build(kind, max(tops), pool, shards)
+        reads = max((cap for sweeps, cap in zip(kinds, caps) if sweeps == kind), default=0)
+        top = max((n for n in range(1, reads + 1) if not universe.has_file_for(kind, n)), default=0)
+        if top:
+            build_classes(kind, top, pool, shards)
     return [universe.part(kind, cap) for kind, cap in zip(kinds, caps)]
 
 

@@ -119,6 +119,20 @@ def test_verify_non_ascii_byte_in_universe_reports_line(capsys, tmp_path):
     assert "line 2: byte 195 is outside the printable graph6 range" in err
 
 
+def test_parse_errors_name_their_file(capsys, tmp_path):
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("A_\n", encoding="ascii")
+    bad.write_text("A_\nH??\n", encoding="ascii")  # order 9 needs 6 data bytes
+    message = f"error: {bad}: line 2: truncated payload: expected 6 data bytes, found 2\n"
+    for argv in (
+        ("verify", "--ids", "T1", "--max-n", "4", "--universe", str(good), "--universe", str(bad)),
+        ("compute", "--input", str(bad), "--params", "zf"),
+        ("product", "--kind", "cartesian", str(good), str(bad)),
+        ("product", "--kind", "cartesian", str(bad), str(good)),
+    ):
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
 def test_compute_skips_disconnected_with_notice(capsys, tmp_path):
     gpath = tmp_path / "two.g6"
     gpath.write_text("A?\n", encoding="ascii")  # two isolated vertices
@@ -224,7 +238,7 @@ def test_outside_input_above_the_order_cap_is_refused(capsys, tmp_path):
         f.write_text(f"0 {order - 1}\n", encoding="ascii")
     product = f"a product of orders {left} and {top // left}"
     for argv, what in (
-        (("compute", "--input", str(edges), "--edgelist", "--params", "zf"), f"line 3: vertex label {MAX_ORDER}"),
+        (("compute", "--input", str(edges), "--edgelist", "--params", "zf"), f"{edges}: line 3: vertex label {MAX_ORDER}"),
         (("gen", "--family", "path", "--n", str(top)), "family 'path'"),
         (("gen", "--family", "multipartite", "--parts", f"1,{MAX_ORDER}"), "family 'multipartite'"),
         (("gen", "--family", "spider", "--legs", f"1,1,{MAX_ORDER - 2}"), "family 'spider'"),

@@ -373,6 +373,7 @@ def test_enumeration_caps():
     with pytest.raises(ValueError):
         list(enumerate_connected(MAX_BUILTIN_ORDER + 1))
     # build_classes is the one place that knows the caps; nothing is built past them
+    pool = ProcessPoolExecutor(max_workers=2)  # starts no worker: no job reaches it
     refused = [
         lambda: build_classes("connected", 0),
         lambda: build_classes("trees", 0),
@@ -380,11 +381,12 @@ def test_enumeration_caps():
         lambda: build_classes("trees", MAX_TREE_ORDER + 1),
         lambda: Universe().connected(MAX_BUILTIN_ORDER + 1),
         lambda: Universe().trees(MAX_TREE_ORDER + 1),
-        lambda: Universe().build("connected", MAX_BUILTIN_ORDER + 1, None, 1),
+        lambda: build_classes("connected", MAX_BUILTIN_ORDER + 1, pool, 2),
     ]
-    for call in refused:
-        with pytest.raises(ValueError, match=r"enumeration covers 1\.\.\d+, not \d+$"):
-            call()
+    with pool:
+        for call in refused:
+            with pytest.raises(ValueError, match=r"enumeration covers 1\.\.\d+, not \d+$"):
+                call()
     with pytest.raises(ValueError, match="unknown kind 'forest'"):
         build_classes("forest", 3)
 
@@ -506,19 +508,17 @@ def test_order_8_classes_are_the_classes_of_the_checked_in_universe_file():
 
 
 def test_pool_build_equals_the_serial_build(monkeypatch):
-    from zfpd.theorems import Universe
-
-    serial_connected = [build_classes("connected", n) for n in range(1, 7)]
+    serial_connected = [build_classes("connected", n) for n in range(1, 8)]
     serial_trees = [build_classes("trees", n) for n in range(1, 9)]
-    # An empty cache, so the orders are built again, through the pool.
+    # An empty cache, so the orders are built again, through the pool, whose
+    # workers search for every parent's generators themselves.
     monkeypatch.setattr(families, "_BUILT", {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)})
     with ProcessPoolExecutor(max_workers=2) as pool:
-        u = Universe()
-        u.build("connected", 6, pool, 2)
-        u.build("trees", 8, pool, 2)
-    assert len(families._BUILT) == 6 + 8  # every order was built again
-    assert [u.connected(n) for n in range(1, 7)] == serial_connected  # Graph equality is adjacency equality
-    assert [u.trees(n) for n in range(1, 9)] == serial_trees
+        build_classes("connected", 7, pool, 2)
+        build_classes("trees", 8, pool, 2)
+    assert len(families._BUILT) == 7 + 8  # every order was built again
+    assert [build_classes("connected", n) for n in range(1, 8)] == serial_connected  # Graph equality is adjacency equality
+    assert [build_classes("trees", n) for n in range(1, 9)] == serial_trees
     for classes in families._BUILT.values():  # no shard kept a class that another kept too
         assert all(a.adj < b.adj for a, b in zip(classes, classes[1:]))
         assert all(type(g) is BuiltClass for g in classes)
