@@ -196,13 +196,21 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     # A fork pool starts all its workers at the first submit, so start no more than there are jobs.
     workers = min(args.workers, len(ids))
     if workers > 1:
+        import gc
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = theorems.prepare(universe, ids, args.max_n, pool, workers)  # builds the universe first
-            # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
-            futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=u) for t, u in zip(ids, parts)]
-            reports = [f.result() for f in futures]
+        # Workers fork from a frozen heap, so their collections neither walk
+        # nor copy on write what they inherit; in-process callers get normal
+        # collection back.
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = theorems.prepare(universe, ids, args.max_n, pool, workers)  # builds the universe first
+                # Workers get the function by name: a wrapper bound at cli.verify cannot be pickled.
+                futures = [pool.submit(theorems.verify, t, max_n=args.max_n, universe=u) for t, u in zip(ids, parts)]
+                reports = [f.result() for f in futures]
+        finally:
+            gc.unfreeze()
     else:
         # Each order is built inside the first verifier that reads it, so its time stays in that report.
         reports = [verify(t, max_n=args.max_n, universe=universe) for t in ids]

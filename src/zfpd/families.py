@@ -4,15 +4,16 @@ The enumeration side produces exactly one representative per isomorphism
 class of connected graphs (or trees), growing each order from the one
 below by canonical augmentation: one candidate per orbit of the parent's
 automorphism group, kept only if its new vertex is the class's canonical
-deletion, so no key of another class is ever looked up.  A complete
-isomorphism key, found by colour refinement and individualization, decides
-the canonical deletion in the same search that yields the automorphism
-group's generators; a parent's generators are searched for where its
-candidates are made, so nothing but the classes passes from one order to
-the next.  The key is itself an adjacency, the best leaf's labelling of the
-class, so ``build_classes`` keeps each class in those labels, as a
-``BuiltClass``, sorted by key, and is the one cache of built orders; a
-process pool can share out the parents.
+deletion, so no key of another class is ever looked up.  Candidates that
+a cheap invariant already rejects are never built, and a child is searched
+only where that invariant ties its new vertex with another deletable one:
+then a complete isomorphism key, found by colour refinement and
+individualization, decides the canonical deletion in the same search that
+yields the automorphism group's generators.  A parent's generators are
+searched for where its candidates are made, so nothing but the classes
+passes from one order to the next.  ``build_classes`` keeps each class in
+the labels its candidate had, as a ``BuiltClass``, sorted by adjacency, and
+is the one cache of built orders; a process pool can share out the parents.
 
 The canonical labelling is the lexicographically smallest upper-triangle
 adjacency bitstring over all vertex orderings.  Its minimum is found one
@@ -588,14 +589,19 @@ def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterat
 # that comes first in the leaf order of its ``_iso_key``.  A child is kept
 # only if its new vertex lies in that vertex's orbit, so each class is kept
 # exactly once, from the parent and orbit that its canonical deletion gives.
-# The invariant rejects most children before any search; a survivor pays one
+# A parent's vertex that is deletable and off the new vertex's neighbours
+# stays deletable in the child, so the candidates that such a vertex beats on
+# the invariant are dropped before the orbits are walked; the rule depends
+# only on the parent's class, so what is left is still a union of orbits.
+# The invariant rejects most survivors, and a survivor whose new vertex it
+# ranks strictly first is kept without a search; only a tie pays one
 # ``_iso_search``, and each parent one more, for the generators that prune
-# its candidates.  Each key, the adjacency of one member of its class, is the
-# class's representative: it is its own ``_iso_key``, and the classes are
-# sorted by it.  The shard step (``_expand``) takes a slice of the parents'
-# adjacencies and returns keys, so a process pool can share an order out and
-# ships nothing else either way; the slices yield disjoint lists, and the
-# serial build runs the step on one slice.
+# its candidates.  A kept child, in its candidate's labels, is the class's
+# representative, and the classes are sorted by adjacency.  The shard step
+# (``_expand``) takes a slice of the parents' adjacencies and returns kept
+# children, so a process pool can share an order out and ships nothing else
+# either way; the slices yield disjoint lists, and the serial build runs the
+# step on one slice.
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -613,13 +619,27 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 
 
 def _attach_vertex(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    # A deletable vertex left out of ``nb`` with degree below ``|nb|`` stays
+    # deletable in the child and beats the new vertex, so drop such masks:
+    # ``below[d]`` holds the deletable vertices of degree below ``d``.
     new_bit = 1 << len(adj)
-    for nb in _orbit_reps(range(1, new_bit), gens):
+    below = [0] * (len(adj) + 2)
+    for v, row in enumerate(adj):
+        if _deletable(adj, v):
+            for d in range(row.bit_count() + 1, len(below)):
+                below[d] |= 1 << v
+    masks = (nb for nb in range(1, new_bit) if not below[nb.bit_count()] & ~nb)
+    for nb in _orbit_reps(masks, gens):
         yield tuple([row | new_bit if nb >> u & 1 else row for u, row in enumerate(adj)]) + (nb,)
 
 
 def _attach_leaf(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    for at in _orbit_reps([1 << v for v in range(len(adj))], gens):
+    # A leaf at ``a`` loses to any other leaf ``u`` whose neighbour ``w`` is
+    # not ``a`` and has degree at most ``a``'s: ``u`` stays a leaf of the
+    # child and beats the new leaf on its neighbour's degree.  Drop such ``a``.
+    stems = [(u, row.bit_length() - 1) for u, row in enumerate(adj) if row.bit_count() == 1]
+    ats = [1 << a for a, row in enumerate(adj) if not any(a != u and a != w and adj[w].bit_count() <= row.bit_count() for u, w in stems)]
+    for at in _orbit_reps(ats, gens):
         rows = list(adj)
         rows[at.bit_length() - 1] |= 1 << len(adj)
         rows.append(at)
@@ -645,8 +665,8 @@ def _deletable(adj: tuple[int, ...], v: int) -> bool:
     return seen == rest
 
 
-def _canonical_child(child: tuple[int, ...]) -> tuple[int, ...] | None:
-    """``child``'s ``_iso_key`` if its last vertex is a canonical deletion, else ``None``."""
+def _canonical_child(child: tuple[int, ...]) -> bool:
+    """Whether ``child``'s last vertex is a canonical deletion; only a tie on the invariant pays for an ``_iso_search``."""
     new = len(child) - 1
     degree = [row.bit_count() for row in child]
     of_degree: dict[int, int] = {}
@@ -657,10 +677,16 @@ def _canonical_child(child: tuple[int, ...]) -> tuple[int, ...] | None:
         return degree[v], sum(d * (child[v] & m).bit_count() for d, m in of_degree.items())
 
     least = inv(new)
-    if any(degree[v] <= least[0] and inv(v) < least and _deletable(child, v) for v in range(new)):
-        return None
-    key, gens, order = _iso_search(child)
-    first = next(v for v in order if degree[v] == least[0] and inv(v) == least and (v == new or _deletable(child, v)))
+    ties = {new}
+    for v in range(new):
+        if degree[v] <= least[0] and inv(v) <= least and _deletable(child, v):
+            if inv(v) < least:
+                return False
+            ties.add(v)
+    if len(ties) == 1:
+        return True
+    _, gens, order = _iso_search(child)
+    first = next(v for v in order if v in ties)
     orbit = {first}
     todo = [first]
     for v in todo:
@@ -668,18 +694,18 @@ def _canonical_child(child: tuple[int, ...]) -> tuple[int, ...] | None:
             if perm[v] not in orbit:
                 orbit.add(perm[v])
                 todo.append(perm[v])
-    return key if new in orbit else None
+    return new in orbit
 
 
 def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> list[tuple[int, ...]]:
-    """Shard step: the key of each class whose canonical deletion is in ``parents``.
+    """Shard step: each class whose canonical deletion is in ``parents``, in the labels its candidate has.
 
     ``parents`` holds bare adjacencies; each one's automorphism generators,
     which prune its candidates to one per orbit, are searched for here.
     """
     extend = _EXTEND[kind][0]
     children = (child for adj in parents for child in extend(adj, _iso_search(adj)[1]))
-    return [key for key in map(_canonical_child, children) if key is not None]
+    return [child for child in children if _canonical_child(child)]
 
 
 def _from_key(key: tuple[int, ...], n: int) -> Graph:
@@ -711,8 +737,8 @@ def _slices(items: list, shards: int) -> list[list]:
     return [items[i::shards] for i in range(min(shards, len(items)))]
 
 
-# (kind, order) -> classes in ``_iso_key`` labels, sorted by key; filled one
-# order at a time, and the one place a built order is kept
+# (kind, order) -> classes in the labels their candidates had, sorted by
+# adjacency; filled one order at a time, and the one place a built order is kept
 _BUILT: dict[tuple[str, int], tuple[BuiltClass, ...]] = {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)}
 # (kind, order) -> the same classes in canonical labels, sorted by ``_canon`` key; filled by ``_labelled``
 _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
@@ -721,11 +747,12 @@ _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[BuiltClass, ...]:
     """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
 
-    Each class is the ``BuiltClass`` whose adjacency is its ``_iso_key``,
-    and the classes are sorted by it.  This is the one cache of built
-    orders.  Missing orders are built upward from the highest one cached,
-    each order's shard step split ``shards`` ways and mapped over ``pool``
-    (an ``Executor``) or, without one, in this process.
+    Each class is a ``BuiltClass`` in the labels of the candidate that its
+    canonical deletion gave, and the classes are sorted by adjacency.  This
+    is the one cache of built orders.  Missing orders are built upward from
+    the highest one cached, each order's shard step split ``shards`` ways
+    and mapped over ``pool`` (an ``Executor``) or, without one, in this
+    process.
     The result does not depend on ``pool`` or ``shards``.  An unknown
     ``kind``, or an order above its cap (``MAX_BUILTIN_ORDER`` or
     ``MAX_TREE_ORDER``), is refused with ``ValueError``.

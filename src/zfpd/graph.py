@@ -367,18 +367,12 @@ class Graph:
 
 def is_path(g: Graph) -> bool:
     """True iff ``g`` is a simple path (a single vertex counts)."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    if not g.is_connected() or g.m != g.n - 1:
-        return False
-    return g.degree_stats()[1] <= 2
+    return g.n >= 1 and g.m == g.n - 1 and g.degree_stats()[1] <= 2 and g.is_connected()
 
 
 def is_tree(g: Graph) -> bool:
     """True iff ``g`` is connected and acyclic."""
-    return g.n >= 1 and g.is_connected() and g.m == g.n - 1
+    return g.n >= 1 and g.m == g.n - 1 and g.is_connected()
 
 
 def induces_connected(g: Graph, mask: int) -> bool:

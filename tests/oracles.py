@@ -12,12 +12,17 @@ used to run, kept as the reference for its canonical schedule; and
 ``grown_spider_masks``, the grow-and-dedup spider listing, kept as the
 reference for the listing from each spider's centre.  ``peeled_outerplanar``
 is the peel over a dict of dicts that ``is_outerplanar`` used to run, kept
-as the reference for the peel on bitmasks.
+as the reference for the peel on bitmasks.  ``augmented_children`` is
+canonical augmentation as the build ran it before it filtered candidates
+and searched only ties on the invariant, kept as the reference for both; it
+calls the library's isomorphism search, deletion test and orbit walk.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from zfpd.families import _deletable, _iso_search, _orbit_reps
 
 
 def adj_sets(g) -> list[set[int]]:
@@ -452,3 +457,54 @@ def rescanning_closure_with_log(g, black: int):
         chains.append(tuple(chain))
         terminals |= 1 << chain[-1]
     return black, ForceLog(initial, tuple(forces), tuple(chains), terminals)
+
+
+def every_child(adj: tuple[int, ...], kind: str) -> list[tuple[int, ...]]:
+    """Every child of the parent ``adj``: its new last vertex joined to every
+    nonempty vertex set for "connected", to every single vertex for "trees"."""
+    return [_child(adj, nb) for nb in _neighbour_sets(len(adj), kind)]
+
+
+def augmented_children(adj: tuple[int, ...], kind: str) -> list[tuple[int, ...]]:
+    """The children of the parent ``adj`` that the build kept before it
+    filtered candidates and searched only ties: one child per orbit of the
+    new vertex's neighbour sets, kept if an ``_iso_search`` puts its new
+    vertex in the orbit of the canonical deletion."""
+    reps = _orbit_reps(_neighbour_sets(len(adj), kind), _iso_search(adj)[1])
+    return [child for child in (_child(adj, nb) for nb in reps) if _searched_canonical_child(child)]
+
+
+def _neighbour_sets(n: int, kind: str):
+    return range(1, 1 << n) if kind == "connected" else [1 << v for v in range(n)]
+
+
+def _child(adj: tuple[int, ...], nb: int) -> tuple[int, ...]:
+    new_bit = 1 << len(adj)
+    return tuple(row | new_bit if nb >> u & 1 else row for u, row in enumerate(adj)) + (nb,)
+
+
+def _searched_canonical_child(child: tuple[int, ...]) -> bool:
+    """``families._canonical_child`` with an ``_iso_search`` of every child
+    that no vertex beats on (degree, sum of neighbour degrees)."""
+    new = len(child) - 1
+    degree = [row.bit_count() for row in child]
+    of_degree: dict[int, int] = {}
+    for v, d in enumerate(degree):
+        of_degree[d] = of_degree.get(d, 0) | 1 << v
+
+    def inv(v: int) -> tuple[int, int]:
+        return degree[v], sum(d * (child[v] & m).bit_count() for d, m in of_degree.items())
+
+    least = inv(new)
+    if any(degree[v] <= least[0] and inv(v) < least and _deletable(child, v) for v in range(new)):
+        return False
+    _, gens, order = _iso_search(child)
+    first = next(v for v in order if degree[v] == least[0] and inv(v) == least and (v == new or _deletable(child, v)))
+    orbit = {first}
+    todo = [first]
+    for v in todo:
+        for perm in gens:
+            if perm[v] not in orbit:
+                orbit.add(perm[v])
+                todo.append(perm[v])
+    return new in orbit

@@ -40,7 +40,7 @@ from zfpd.families import (
 )
 from zfpd.products import cartesian_product
 
-from oracles import brute_automorphisms, brute_canonical_key, random_graph, refine_every_cell
+from oracles import augmented_children, brute_automorphisms, brute_canonical_key, every_child, random_graph, refine_every_cell
 
 DATA_FILE = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "connected_1to8.g6"
 
@@ -480,17 +480,32 @@ def test_refining_against_split_cells_keeps_keys_generators_and_leaf_orders(monk
 
 def _dedup_classes(kind: str, top: int) -> list[list[tuple[int, ...]]]:
     """Orders ``1..top`` as the build made them before canonical augmentation:
-    the sorted ``_iso_key`` set of every orbit-pruned candidate."""
-    extend = _EXTEND[kind][0]
+    the sorted ``_iso_key`` set of every child of every parent, no candidate
+    filtered out."""
     orders = [[Graph(1).adj]]
     for _ in range(2, top + 1):
-        orders.append(sorted({_iso_key(c) for adj in orders[-1] for c in extend(adj, _iso_search(adj)[1])}))
+        orders.append(sorted({_iso_key(child) for adj in orders[-1] for child in every_child(adj, kind)}))
     return orders
 
 
 def test_canonical_augmentation_builds_what_the_key_set_dedup_built():
     for kind, top in (("connected", 7), ("trees", 10)):
-        assert [[g.adj for g in build_classes(kind, n)] for n in range(1, top + 1)] == _dedup_classes(kind, top), kind
+        built = [sorted(_iso_key(g.adj) for g in build_classes(kind, n)) for n in range(1, top + 1)]
+        assert built == _dedup_classes(kind, top), kind
+
+
+def test_filtered_tie_only_build_keeps_what_the_full_search_kept():
+    # Every parent, in its built labels and relabelled: the kept children
+    # are the same list, in the same labels, as searching every orbit
+    # representative that the invariant does not reject.
+    rng = random.Random(30)
+    for kind, top in (("connected", 6), ("trees", 9)):
+        extend = _EXTEND[kind][0]
+        for n in range(1, top + 1):
+            for g in build_classes(kind, n):
+                for adj in (g.adj, _relabeled(g, rng).adj):
+                    kept = [child for child in extend(adj, _iso_search(adj)[1]) if families._canonical_child(child)]
+                    assert kept == augmented_children(adj, kind), (kind, adj)
 
 
 def test_built_class_counts_match_oeis():
@@ -504,7 +519,7 @@ def test_order_8_classes_are_the_classes_of_the_checked_in_universe_file():
         eights = [g for g in read_graph6_lines(fh) if g.n == 8]
     keys = sorted({_iso_key(g.adj) for g in eights})
     assert len(keys) == len(eights) == 11117
-    assert [g.adj for g in build_classes("connected", 8)] == keys
+    assert sorted(_iso_key(g.adj) for g in build_classes("connected", 8)) == keys
 
 
 def test_pool_build_equals_the_serial_build(monkeypatch):
@@ -533,11 +548,12 @@ def test_built_classes_keep_their_type_through_a_pickle():
             assert back == classes and all(type(g) is BuiltClass for g in classes + back), (kind, n)
 
 
-def test_built_classes_are_their_own_iso_keys_in_key_order():
+def test_built_classes_have_distinct_iso_keys_in_adjacency_order():
+    # A class keeps the labels its build found, so only its key is compared.
     for kind, top in (("connected", 7), ("trees", 9)):
         for n in range(1, top + 1):
             classes = build_classes(kind, n)
-            assert all(_iso_key(g.adj) == g.adj for g in classes), (kind, n)
+            assert len({_iso_key(g.adj) for g in classes}) == len(classes), (kind, n)
             assert all(a.adj < b.adj for a, b in zip(classes, classes[1:])), (kind, n)
 
 

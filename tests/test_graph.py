@@ -1,7 +1,7 @@
 import math
 import pickle
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +29,7 @@ from zfpd.invariants import _induced_path_masks, _spider_masks
 from zfpd.products import cartesian_product, lexicographic_product
 
 from oracles import (
+    _connected_subset,
     _induces_path,
     _induces_spider,
     adj_sets,
@@ -247,6 +248,17 @@ def test_path_tree_predicates():
     assert not is_path(star(4))
     assert is_tree(star(7))
     assert not is_tree(cycle(5))
+    # The edge count and degrees answer first; a disconnected graph with
+    # n - 1 edges and no degree above 2, such as a triangle and an isolated
+    # vertex, still needs the connectivity search.
+    assert not is_path(Graph(0)) and not is_tree(Graph(0))
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for picks in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if picks >> i & 1])
+            adj = adj_sets(g)
+            assert is_path(g) == _induces_path(adj, range(n)), g
+            assert is_tree(g) == (_connected_subset(adj, range(n)) and g.m == n - 1), g
 
 
 def test_induces_connected():
