@@ -55,7 +55,8 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-_PARAMS: dict[str, tuple[str, Callable[[Graph], ParamResult]]] = {
+# zf, dom and tdom also take a keyword ``at_least``, a proven lower bound.
+_PARAMS: dict[str, tuple[str, Callable[..., ParamResult]]] = {
     "zf": ("zero forcing number", zero_forcing_number),
     "pd": ("power domination number", power_domination_number),
     "dom": ("domination number", domination_number),
@@ -63,6 +64,15 @@ _PARAMS: dict[str, tuple[str, Callable[[Graph], ParamResult]]] = {
     "pathcover": ("path cover number", path_cover_number),
     "spider": ("spider number", spider_number),
 }
+
+
+# ``compute`` solves each graph in this order, so that a parameter starts at
+# the bounds already solved for it (``_BOUNDS``).  P <= Z: the forcing chains
+# of a zero forcing set are disjoint induced paths.  gamma_P <= Z and
+# gamma_P <= gamma: a zero forcing or dominating set power dominates.
+# gamma <= gamma_t: a total dominating set dominates.
+_SOLVE_ORDER = ("pathcover", "pd", "zf", "dom", "tdom", "spider")
+_BOUNDS = {"zf": ("pathcover", "pd"), "dom": ("pd",), "tdom": ("dom",)}
 
 
 def _witness_json(witness) -> list:
@@ -126,13 +136,17 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[str, int]:
     entries = []
     for idx, g in enumerate(_read_graphs(args.input, args.edgelist)):
         entry: dict = {"index": idx, "graph6": write_graph6(g), "n": g.n, "params": {}, "skipped": {}}
-        for p in params:
+        solved = entry["params"]
+        for p in sorted(params, key=_SOLVE_ORDER.index):
+            # Only values solved here bound another: a skipped parameter gives no bound.
+            bounds = [solved[q]["value"] for q in _BOUNDS.get(p, ()) if q in solved]
+            solve = _PARAMS[p][1]
             try:
-                res = _PARAMS[p][1](g)
+                res = solve(g, at_least=max(bounds)) if bounds else solve(g)
             except ValueError as exc:  # the solver refuses this graph
                 entry["skipped"][p] = str(exc)
                 continue
-            entry["params"][p] = {"value": res.value, "witness": _witness_json(res.witness)}
+            solved[p] = {"value": res.value, "witness": _witness_json(res.witness)}
         entries.append(entry)
     if _pick_format(args) == "json":
         return json.dumps({"graphs": entries}, indent=2, sort_keys=True) + "\n", 0

@@ -278,7 +278,8 @@ def parse_graph6(text: str) -> Graph:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
             idx += 1
-    return Graph.from_rows(rows)
+    # symmetric and loop-free by construction: no re-validation
+    return Graph._of(rows)
 
 
 def _encode_order(n: int) -> str:

@@ -3,17 +3,23 @@
 Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
 always the smallest-bitmask minimum set.  The four set-valued solvers share
-one ascending size loop, ``_minimum``.  The domination searches and power
-domination share one ``k``-subset search, ``_first_subset``, which carries
-the union of the chosen vertices' rows down its recursion; power
-domination calls ``_spread`` once per complete subset, because its sweeps
-usually hit early.  Zero forcing, whose sweeps mostly refute, has its own
-search in the same order, which carries the closure of the chosen vertices
-and uses that a closed set other than every vertex leaves a fort white
-(Brimkov, Fast and Hicks, EJOR 2019): a level with two or more vertices
-left skips every top vertex ``t`` while the closure of the chosen vertices
-and ``0..t`` is not every vertex, and at the last vertex a failed closure
-drops every candidate inside it.  The shortcuts never change the answer,
+one ascending size loop, ``_minimum``.  Zero forcing, domination and total
+domination take a keyword ``at_least``, a lower bound the caller has
+already proved (``zfpd compute`` passes P <= Z, gamma_P <= Z, gamma_P <=
+gamma and gamma <= gamma_t), and start there on graphs of at most 22
+vertices, where no size is refused; the answer and witness are the same.
+The domination searches and power domination share one ``k``-subset
+search, ``_first_subset``, which carries the union of the chosen vertices'
+rows down its recursion; power domination calls ``_spread`` once per
+complete subset, because its sweeps usually hit early, but skips a last
+vertex whose row falls inside the last closure that failed.  Zero
+forcing, whose sweeps mostly refute, has its own search in the same order,
+which carries the closure of the chosen vertices and uses that a closed
+set other than every vertex leaves a fort white (Brimkov, Fast and Hicks,
+EJOR 2019): a level with two or more vertices left skips every top vertex
+``t`` while the closure of the chosen vertices and ``0..t`` is not every
+vertex, and at the last vertex a failed closure drops every candidate
+inside it.  The shortcuts never change the answer,
 since each skips only subsets that fail: no set smaller than the minimum
 degree forces, no zero forcing set has fewer than half as many vertices as
 the graph has leaves (its forcing chains are induced paths, and a leaf can
@@ -50,9 +56,11 @@ a caller that only compares the path cover number with ``k``.
 
 The solvers alone decide which graphs they accept.  Each one needs a
 nonempty connected graph, the total domination number at least two vertices
-and the spider number a tree.  A cap bounds only a search, so an answer that
-needs none comes first: zero forcing's minimum-degree, leaf and edge
-shortcuts, a path, a spider.  The ``k``-subset searches share one guard,
+and the spider number a tree.  Each public solver tests connectivity once;
+``_minimum`` does not, so a caller whose graphs are connected by origin,
+such as ``theorems``' value-only minima, runs no search for it.  A cap
+bounds only a search, so an answer that needs none comes first: zero
+forcing's minimum-degree, leaf and edge shortcuts, a path, a spider.  The ``k``-subset searches share one guard,
 ``_sweepable``, which refuses a size ``k`` above 256 or with more than
 1,000,000 subsets of ``n`` vertices; the partition searches refuse a
 graph above the path cover or spider cap.  ``theorems`` imports those two
@@ -142,7 +150,9 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     covers, so the hit is the same.  With ``forcing`` the closure of the
     union must be every vertex, spread once per complete subset by
     ``_spread`` directly, with no bounds check: the union is of the graph's
-    own rows.
+    own rows.  At the last vertex a candidate is skipped when the union
+    with its row lies inside the closure that last failed: that closure is
+    closed and holds the union, so the candidate's closure stays inside it.
     """
     n = g.n
     if not _sweepable(n, k, what):
@@ -157,10 +167,13 @@ def _first_subset(g: Graph, rows: Sequence[int], k: int, forcing: bool, what: st
     def search(j: int, hi: int, union: int, chosen: int) -> Optional[int]:
         # Choose the ``j`` remaining vertices from ``range(hi)``.
         if j == 1:
+            failed = 0
             for t in range(hi):
                 u = union | rows[t]
                 if forcing:
-                    u = _spread(adj, u, u)
+                    if not u & ~failed:
+                        continue  # inside the last failed closure, which is closed
+                    u = failed = _spread(adj, u, u)
                 if u == full:
                     return chosen | 1 << t
             return None
@@ -264,14 +277,19 @@ def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     return _first_subset(g, _closed_rows(g), k, True, "power domination")
 
 
-def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int) -> tuple[int, W]:
+def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int, at_least: int = 0) -> tuple[int, W]:
     """Smallest ``k >= lo`` for which ``find(g, k)`` finds a witness, and that witness.
 
-    Refuses an empty or disconnected ``g``.  On a connected graph some
-    ``k <= n`` always qualifies: the whole vertex set for every set-valued
-    parameter solved here, the ``n`` single vertices for the partitions.
+    ``at_least`` is a proven lower bound on the answer, and the search
+    starts there instead when ``g`` has at most ``_FULL_SWEEP_CAP`` vertices:
+    at those orders ``_sweepable`` refuses no size, so skipping sizes below
+    the bound cannot turn a refusal into an answer.  On a connected graph
+    some ``k <= n`` always qualifies: the whole vertex set for every
+    set-valued parameter solved here, the ``n`` single vertices for the
+    partitions.  The callers check connectivity.
     """
-    _require_connected(g)
+    if g.n <= _FULL_SWEEP_CAP:
+        lo = max(lo, at_least)
     for k in range(lo, g.n + 1):
         m = find(g, k)
         if m is not None:
@@ -279,31 +297,48 @@ def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int) -> tu
     raise AssertionError("unreachable: some k <= n always qualifies")
 
 
-def zero_forcing_number(g: Graph) -> ParamResult:
-    """Minimum size of a zero forcing set, with witness and force log."""
-    k, m = _minimum(g, find_zero_forcing_set, 1)
+def zero_forcing_number(g: Graph, *, at_least: int = 1) -> ParamResult:
+    """Minimum size of a zero forcing set, with witness and force log.
+
+    ``at_least`` is a proven lower bound, such as the path cover number or
+    the power domination number of ``g``; on at most ``_FULL_SWEEP_CAP``
+    vertices no smaller size is searched.  The answer is the same.
+    """
+    _require_connected(g)
+    k, m = _minimum(g, find_zero_forcing_set, 1, at_least)
     return ParamResult(k, m, closure_with_log(g, m)[1])
 
 
 def power_domination_number(g: Graph) -> ParamResult:
     """Minimum size of a power dominating set, with witness and force log."""
+    _require_connected(g)
     k, m = _minimum(g, find_power_dominating_set, 1)
     return ParamResult(k, m, closure_with_log(g, g.closed_neighborhood(m))[1])
 
 
-def domination_number(g: Graph) -> ParamResult:
-    """Minimum size of a dominating set."""
+def domination_number(g: Graph, *, at_least: int = 1) -> ParamResult:
+    """Minimum size of a dominating set.
+
+    ``at_least`` is a proven lower bound, such as the power domination
+    number of ``g``, used as in ``zero_forcing_number``.
+    """
+    _require_connected(g)
     rows = _closed_rows(g)
-    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1)
+    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1, at_least)
     return ParamResult(k, m)
 
 
-def total_domination_number(g: Graph) -> ParamResult:
-    """Minimum size of a total dominating set (every vertex has a neighbor in it)."""
+def total_domination_number(g: Graph, *, at_least: int = 2) -> ParamResult:
+    """Minimum size of a total dominating set (every vertex has a neighbor in it).
+
+    ``at_least`` is a proven lower bound, such as the domination number of
+    ``g``, used as in ``zero_forcing_number``.
+    """
+    _require_connected(g)
     if g.n == 1:
         raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
-    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2)
+    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2, at_least)
     return ParamResult(k, m)
 
 

@@ -54,9 +54,12 @@ order, the first hit in file order, and the search stops there.
 
 A verifier solves for values, only what it checks and nothing it already
 holds: T2 and T12 take a path cover number or diameter only to fail.  ``_gp``
-and ``_z`` run the subset searches through ``invariants._minimum`` and build
-no force log; only ``_recheck_power_domination``, which certifies T16's
-witness, asks for a certificate.  G box H and H box G are isomorphic through
+and ``_z`` run the subset searches through ``invariants._minimum``, build
+no force log and run no connectivity search: every graph they are given is
+connected by origin (a universe graph, a family member, a product of
+connected graphs, an edge deletion checked to keep it connected).  Only
+``_recheck_power_domination``, which certifies T16's witness, asks for a
+certificate.  G box H and H box G are isomorphic through
 (a, b) -> (b, a), so T15 and T16's characterisation solve one product of
 each mirrored pair and reuse its answer for the other.  T13, T15 and T16's
 characterisation solve each factor once for each number they read of it.
@@ -264,7 +267,7 @@ def graph6(g: Graph) -> str:
 
 # The minima look their searches up here, at call time, so a rebound
 # ``theorems.find_*`` sees every call; unlike ``power_domination_number``
-# they build no force log.
+# they build no force log and do not test connectivity.
 def _gp(g: Graph) -> int:
     return _minimum(g, find_power_dominating_set, 1)[0]
 
@@ -448,7 +451,7 @@ def _t2(run: VerifyReport, u: Universe, cap: int) -> str:
 
 @_verifier("T3", "maximum degree n-1 iff domination and power domination numbers are both 1", 7, _FULL_SWEEP_CAP, "connected")
 def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
-    weaker_bad: list[str] = []
+    weaker_bad: list[Graph] = []
     for g in u.between(1, cap):
         run.checked += 1
         gp, gamma = _gp(g), _gamma(g)
@@ -462,11 +465,16 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
             )
         # Weaker reading: "power domination equals domination" instead of both 1.
         if (gp == gamma) != lhs:
-            weaker_bad.append(graph6(g))
+            weaker_bad.append(g)
     if weaker_bad:
+        # graph6 strings sort by order first, so the three least lie in the
+        # lowest orders that hold three graphs: only those are labelled.
+        weaker_bad.sort(key=lambda g: g.n)
+        top = weaker_bad[min(2, len(weaker_bad) - 1)].n
+        least = sorted(graph6(g) for g in weaker_bad if g.n <= top)[:3]
         run.notes.append(
             f"weaker reading (power domination = domination iff max degree n-1) fails on "
-            f"{len(weaker_bad)} graphs, e.g. {', '.join(sorted(weaker_bad)[:3])}"
+            f"{len(weaker_bad)} graphs, e.g. {', '.join(least)}"
         )
     else:
         run.notes.append("weaker reading (power domination = domination) also held")
@@ -648,20 +656,20 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):
         run.checked += 1
-        d = g.diameter()
-        if d <= 2 and not _pd_at_most(g, 2) and is_planar(g):
+        within2 = not g.diameter_exceeds(2)
+        if within2 and not _pd_at_most(g, 2) and is_planar(g):
             run.fail(
                 g,
                 "planar with diameter <= 2: power domination number <= 2",
                 str(_gp(g)),
             )
-        if d <= 3 and is_outerplanar(g) and not _pd_at_most(g, 1):
+        if (within2 or not g.diameter_exceeds(3)) and is_outerplanar(g) and not _pd_at_most(g, 1):
             run.fail(
                 g,
                 "outerplanar with diameter <= 3: power domination number 1",
                 str(_gp(g)),
             )
-            if d <= 2:
+            if within2:
                 variant_bad += 1
     if variant_bad:
         run.notes.append(f"diameter<=2 variant of the outerplanar branch fails on {variant_bad} graphs")

@@ -410,6 +410,23 @@ def random_connected_graph(rng, n: int, p: float):
     return Graph(n, extra)
 
 
+def sparse_connected_graph(rng, n: int, extra: bool = True):
+    """A random spanning tree, randomly labelled, plus n/4..n/2 extra edges unless ``extra`` is false.
+
+    With the extra edges these are like the graphs of the benchmark's
+    ``compute`` input, where the zero forcing sweep mostly refutes.
+    """
+    from zfpd.graph import Graph
+
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    target = n - 1 + (rng.randint(n // 4, n // 2) if extra else 0)
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
 def closure_random_order(g, start: int, rng) -> int:
     """Closure applying forces in a random eligible order each step."""
     from zfpd.graph import bits

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,10 +11,12 @@ import pytest
 
 from zfpd.cli import main
 from zfpd.families import (
-    are_isomorphic, enumerate_connected, parse_edge_list, parse_graph6, path, star, wheel, write_graph6,
+    are_isomorphic, build_classes, enumerate_connected, parse_edge_list, parse_graph6, path, star, wheel, write_graph6,
 )
 from zfpd.graph import MAX_ORDER, Graph
 from zfpd.products import cartesian_product
+
+from oracles import sparse_connected_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -188,6 +191,44 @@ def test_compute_skips_parameters_above_their_cap(capsys, tmp_path):
         "dom": "domination search is capped at 1000000 subsets of one size",
         "tdom": "total domination search is capped at 1000000 subsets of one size",
     }
+
+
+def _compute_json(capsys, gpath, params):
+    code, out, _ = run(capsys, "compute", "--input", str(gpath), "--params", params, "--format", "json")
+    assert code == 0
+    return json.loads(out)["graphs"]
+
+
+def test_each_parameter_solved_alone_matches_it_solved_with_the_others(capsys, tmp_path):
+    # `compute` starts zf, dom and tdom at bounds solved earlier for the same
+    # graph; a parameter asked alone has none, and must get the same value,
+    # witness or skip message.
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 8) for g in build_classes("connected", n)]
+    for n in range(12, 16):
+        graphs += [sparse_connected_graph(rng, n) for _ in range(3)]
+        graphs += [sparse_connected_graph(rng, n, extra=False) for _ in range(2)]
+    gpath = tmp_path / "mixed.g6"
+    gpath.write_text("".join(write_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    every = ("zf", "pd", "dom", "tdom", "pathcover", "spider")
+    together = _compute_json(capsys, gpath, ",".join(every))
+    assert len(together) == len(graphs)
+    for p in every:
+        alone = _compute_json(capsys, gpath, p)
+        for a, t in zip(alone, together):
+            assert a["params"].get(p) == t["params"].get(p), (p, a["graph6"])
+            assert a["skipped"].get(p) == t["skipped"].get(p), (p, a["graph6"])
+
+
+def test_a_bound_from_another_parameter_never_lifts_a_refusal(capsys, tmp_path):
+    # Z(K1,23) = 22 = P, but alone zf is refused at k = 12; solved after the
+    # path cover number it must be refused the same way, not answered.
+    gpath = tmp_path / "star24.g6"
+    gpath.write_text(write_graph6(star(24)) + "\n", encoding="ascii")
+    for params in ("zf", "zf,pathcover"):
+        (entry,) = _compute_json(capsys, gpath, params)
+        assert entry["skipped"] == {"zf": "zero forcing search is capped at 1000000 subsets of one size"}, params
+    assert entry["params"]["pathcover"]["value"] == 22
 
 
 def test_compute_edgelist_input(capsys, tmp_path):

@@ -52,6 +52,7 @@ from oracles import (
     naive_zero_forcing,
     random_connected_graph,
     random_graph,
+    sparse_connected_graph,
     subset_dp_partition,
 )
 
@@ -330,28 +331,20 @@ def test_solvers_match_first_hit_sweep():
 
 def test_forcing_sweeps_match_first_hit_for_every_size():
     # Every size k, not only the minimum: the zero forcing sweep stops early
-    # once a partial choice forces, and answers None below the minimum degree.
+    # once a partial choice forces, and answers None below the minimum degree;
+    # the power domination sweep skips a last vertex inside a failed closure.
+    # Order 7 is checked for k = 1..3, past every power domination minimum
+    # there (a connected graph has one of at most n/3).
     rng = random.Random(67)
-    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
-    graphs += [random_graph(rng, n, p) for n in range(7, 14) for p in (0.15, 0.3, 0.5)]
-    for g in graphs:
-        for k in range(g.n + 1):
+    graphs = [(g, range(g.n + 1)) for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [(g, range(1, 4)) for g in build_classes("connected", 7)]
+    graphs += [(random_graph(rng, n, p), range(n + 1)) for n in range(7, 14) for p in (0.15, 0.3, 0.5)]
+    for g, sizes in graphs:
+        for k in sizes:
             zf = next((m for m in k_subsets(g.n, k) if is_zero_forcing_set(g, m)), None)
             pd = next((m for m in k_subsets(g.n, k) if is_power_dominating_set(g, m)), None)
             assert find_zero_forcing_set(g, k) == zf, (g, k)
             assert find_power_dominating_set(g, k) == pd, (g, k)
-
-
-def _sparse_connected_graph(rng, n):
-    # A random spanning tree plus n/4..n/2 extra edges, like the graphs of the
-    # benchmark's ``compute`` input, where the zero forcing sweep mostly refutes.
-    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
-    target = n - 1 + rng.randint(n // 4, n // 2)
-    while len(edges) < target:
-        edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
 
 
 def test_zero_forcing_sweep_matches_first_hit_on_sparse_graphs():
@@ -361,7 +354,7 @@ def test_zero_forcing_sweep_matches_first_hit_on_sparse_graphs():
     rng = random.Random(71)
     for n in range(12, 17):
         for _ in range(2):
-            g = _sparse_connected_graph(rng, n)
+            g = sparse_connected_graph(rng, n)
             z = zero_forcing_number(g).value
             for k in range(z + 2):
                 first = next((m for m in k_subsets(g.n, k) if is_zero_forcing_set(g, m)), None)
@@ -386,6 +379,27 @@ def test_path_cover_number_is_at_most_zero_forcing_number():
     # paths covering every vertex (AIM Minimum Rank Work Group, LAA 2008).
     for g in _small_graphs():
         assert path_cover_number(g).value <= zero_forcing_number(g).value, g
+
+
+def test_bounds_that_compute_starts_from_hold():
+    # `zfpd compute` starts Z at max(P, gamma_P), gamma at gamma_P and gamma_t
+    # at gamma: a power dominating set is any dominating or zero forcing set.
+    for n in range(1, 8):
+        for g in build_classes("connected", n):
+            pc = path_cover_number(g).value
+            gp = power_domination_number(g).value
+            z = zero_forcing_number(g).value
+            gamma = domination_number(g).value
+            assert pc <= z and gp <= z and gp <= gamma, g
+            assert n == 1 or gamma <= total_domination_number(g).value, g
+
+
+def test_a_lower_bound_is_ignored_above_the_sweep_cap():
+    # Above 22 vertices a bound must not skip a size the search refuses:
+    # alone, Z(K1,23) = 22 is refused at k = 12, so it is refused with a bound too.
+    for bound in (1, 22):
+        with pytest.raises(ValueError, match="^zero forcing search is capped at 1000000 subsets of one size$"):
+            zero_forcing_number(star(24), at_least=bound)
 
 
 def test_leaf_bound_is_safe():
