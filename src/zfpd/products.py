@@ -9,6 +9,8 @@ A result above ``graph.MAX_ORDER`` is refused before its rows are built.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .graph import Graph, bits, check_order
 
 __all__ = ["cartesian_product", "lexicographic_product", "amalgamate"]
@@ -20,18 +22,35 @@ def _check_operands(g: Graph, h: Graph) -> None:
     check_order(g.n * h.n, f"a product of orders {g.n} and {h.n}")
 
 
+@cache
+def _spread_bytes(stride: int) -> tuple[int, ...]:
+    """For each byte value, its bits moved ``stride`` apart: bit i lands at bit ``i * stride``."""
+    table = [0] * 256
+    for b in range(1, 256):
+        table[b] = table[b & b - 1] | 1 << ((b & -b).bit_length() - 1) * stride
+    return tuple(table)
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Box product: move along one coordinate at a time."""
+    """Box product: move along one coordinate at a time.
+
+    A left-factor row spreads to the fibre starts one byte at a time, through
+    a table kept per fibre width.
+    """
     _check_operands(g, h)
-    rows = []
-    for gv in range(g.n):
-        across = 0  # vertex hv = 0 of each neighbouring fibre
-        row = g.adj[gv]
+    table = _spread_bytes(h.n)
+    step = 8 * h.n  # a byte of the left row spans this many product bits
+    across = []  # per left vertex: vertex hv = 0 of each neighbouring fibre
+    for row in g.adj:
+        fibres = shift = 0
         while row:
-            across |= 1 << ((row & -row).bit_length() - 1) * h.n
-            row &= row - 1
-        rows.extend(h.adj[hv] << gv * h.n | across << hv for hv in range(h.n))
-    return Graph._of(rows)
+            fibres |= table[row & 255] << shift
+            row >>= 8
+            shift += step
+        across.append(fibres)
+    return Graph._of(
+        [hrow << gv * h.n | fibres << hv for gv, fibres in enumerate(across) for hv, hrow in enumerate(h.adj)]
+    )
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:

@@ -53,21 +53,26 @@ the least canonical key, whatever order the graphs are swept in; at a file
 order, the first hit in file order, and the search stops there.
 
 A verifier solves for values, only what it checks and nothing it already
-holds: T2 and T12 take a path cover number or diameter only to fail.  ``_gp``
-and ``_z`` run the subset searches through ``invariants._minimum``, build
-no force log and run no connectivity search: every graph they are given is
-connected by origin (a universe graph, a family member, a product of
-connected graphs, an edge deletion checked to keep it connected).  Only
-``_recheck_power_domination``, which certifies T16's witness, asks for a
-certificate.  G box H and H box G are isomorphic through
-(a, b) -> (b, a), so T15 and T16's characterisation solve one product of
-each mirrored pair and reuse its answer for the other.  T13, T15 and T16's
-characterisation solve each factor once for each number they read of it.
-Each ordered pair still builds its own product, counts in ``checked`` and
-fails with its own tag.  T16's edge bound runs no search: both copies of a
-power dominating vertex of G power dominate G box K2, and a pair that does
-not is a failure.  What a verifier holds lives in its own call: no memo
-outlives it.
+holds: T2 and T12 take a path cover number or diameter only to fail.  A
+claim about a threshold asks that threshold, one subset search, and takes a
+minimum only to print a failure: T3 asks whether some gamma_P vertices
+dominate (gamma >= gamma_P), T12 whether two vertices totally dominate
+(gamma_t >= 2), and T8 tests diameter and outerplanarity only where one
+vertex does not power dominate, since gamma_P = 1 meets both conclusions.
+``_gp``, ``_z``, ``_gamma`` and ``_gamma_t`` run the subset searches through
+``invariants._minimum``, build no force log and run no connectivity search:
+every graph they are given is connected by origin (a universe graph, a
+family member, a product of connected graphs, an edge deletion checked to
+keep it connected).  Only ``_recheck_power_domination``, which certifies
+T16's witness, asks for a certificate.  G box H and H box G are isomorphic
+through (a, b) -> (b, a), so T15 and T16's characterisation solve one
+product of each mirrored pair and reuse its answer for the other.  T13, T15
+and T16's characterisation solve each factor once for each number they read
+of it.  Each ordered pair still counts in ``checked`` and fails with its own
+tag, but a product is built only to be solved or printed.  T16's edge bound
+runs no search: both copies of a power dominating vertex of G power dominate
+G box K2, and a pair that does not is a failure.  What a verifier holds
+lives in its own call: no memo outlives it.
 """
 
 from __future__ import annotations
@@ -100,12 +105,15 @@ from .families import (  # noqa: F401
     wheel,
     write_graph6,
 )
-# zero_forcing_number is unused here but stays a module attribute:
-# perfbench/tracer.py wraps theorems.zero_forcing_number.
+# zero_forcing_number, domination_number and total_domination_number are
+# unused here but stay module attributes: perfbench/tracer.py wraps them as
+# theorems.zero_forcing_number, and so on.
 from .invariants import (  # noqa: F401
     _FULL_SWEEP_CAP,
     _PATH_COVER_CAP,
     _SPIDER_CAP,
+    _closed_rows,
+    _first_subset,
     _induced_path_masks,
     _minimum,
     _path_cover_at_most,
@@ -265,15 +273,26 @@ def graph6(g: Graph) -> str:
 # solver shorthands
 
 
-# The minima look their searches up here, at call time, so a rebound
-# ``theorems.find_*`` sees every call; unlike ``power_domination_number``
-# they build no force log and do not test connectivity.
+# The minima return values only: unlike the public solvers they build no
+# force log and do not test connectivity.  ``_gp`` and ``_z`` look their
+# searches up here, at call time, so a rebound ``theorems.find_*`` sees every
+# call.  A threshold ("at most k") is one subset search, not a minimum.
 def _gp(g: Graph) -> int:
     return _minimum(g, find_power_dominating_set, 1)[0]
 
 
 def _z(g: Graph) -> int:
     return _minimum(g, find_zero_forcing_set, 1)[0]
+
+
+def _gamma(g: Graph) -> int:
+    rows = _closed_rows(g)
+    return _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1)[0]
+
+
+def _gamma_t(g: Graph) -> int:
+    # No vertex neighbours itself, so no single vertex totally dominates.
+    return _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2)[0]
 
 
 def _pd_at_most(g: Graph, k: int) -> bool:
@@ -285,13 +304,14 @@ def _zf_exists(g: Graph, k: int) -> bool:
     return find_zero_forcing_set(g, k) is not None
 
 
-def _gamma(g: Graph) -> int:
-    return domination_number(g).value
+# A superset of a dominating or totally dominating set is one too, so for
+# k <= n the sets of size exactly k answer "at most k".
+def _dom_at_most(g: Graph, k: int) -> bool:
+    return _first_subset(g, _closed_rows(g), k, False, "domination") is not None
 
 
-def _gamma_is_one(g: Graph) -> bool:
-    full = g.full_mask
-    return any(g.closed_neighbors(v) == full for v in range(g.n))
+def _tdom_at_most(g: Graph, k: int) -> bool:
+    return _first_subset(g, g.adj, k, False, "total domination") is not None
 
 
 def _twin_free(g: Graph) -> bool:
@@ -454,8 +474,11 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
     weaker_bad: list[Graph] = []
     for g in u.between(1, cap):
         run.checked += 1
-        gp, gamma = _gp(g), _gamma(g)
-        dom1, pd1 = gamma == 1, gp == 1
+        gp = _gp(g)
+        # gamma >= gamma_P, so gamma = gamma_P iff some gamma_P vertices
+        # dominate, and gamma = 1 iff that holds with gamma_P = 1.
+        same = _dom_at_most(g, gp)
+        dom1, pd1 = same and gp == 1, gp == 1
         lhs = g.degree_stats()[1] == g.n - 1
         if lhs != (dom1 and pd1):
             run.fail(
@@ -464,7 +487,7 @@ def _t3(run: VerifyReport, u: Universe, cap: int) -> str:
                 f"max_degree_hit={lhs}, domination1={dom1}, power_domination1={pd1}",
             )
         # Weaker reading: "power domination equals domination" instead of both 1.
-        if (gp == gamma) != lhs:
+        if same != lhs:
             weaker_bad.append(g)
     if weaker_bad:
         # graph6 strings sort by order first, so the three least lie in the
@@ -656,6 +679,8 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
     variant_bad = 0
     for g in u.between(1, cap):
         run.checked += 1
+        if _pd_at_most(g, 1):
+            continue  # power domination number 1 meets both branches' conclusions
         within2 = not g.diameter_exceeds(2)
         if within2 and not _pd_at_most(g, 2) and is_planar(g):
             run.fail(
@@ -663,7 +688,7 @@ def _t8(run: VerifyReport, u: Universe, cap: int) -> str:
                 "planar with diameter <= 2: power domination number <= 2",
                 str(_gp(g)),
             )
-        if (within2 or not g.diameter_exceeds(3)) and is_outerplanar(g) and not _pd_at_most(g, 1):
+        if (within2 or not g.diameter_exceeds(3)) and is_outerplanar(g):
             run.fail(
                 g,
                 "outerplanar with diameter <= 3: power domination number 1",
@@ -713,10 +738,13 @@ def _t9(run: VerifyReport, u: Universe, cap: int) -> str:
 
 def _outside_pairs(g: Graph) -> Iterator[tuple[int, int, int, bool, bool]]:
     """``(v, w1, w2, v power dominates, w1 and w2 are not twins)`` for each vertex ``v`` of degree n-3."""
-    for v in range(g.n):
-        if g.degree(v) == g.n - 3:
-            w1, w2 = bits(g.full_mask & ~g.closed_neighbors(v))
-            yield v, w1, w2, is_power_dominating_set(g, 1 << v), not g.are_twins(w1, w2)
+    adj = g.adj
+    for v, row in enumerate(adj):
+        if row.bit_count() == g.n - 3:
+            w1, w2 = bits(g.full_mask & ~row & ~(1 << v))
+            # twins share their open or their closed neighbourhoods
+            twins = adj[w1] == adj[w2] or adj[w1] | 1 << w1 == adj[w2] | 1 << w2
+            yield v, w1, w2, is_power_dominating_set(g, 1 << v), not twins
 
 
 @_verifier("T10", "a degree n-3 vertex power dominates iff the outside pair are not twins", 7, None, "connected")
@@ -789,14 +817,15 @@ def _t11(run: VerifyReport, u: Universe, cap: int) -> str:
 def _t12(run: VerifyReport, u: Universe, cap: int) -> str:
     for g in u.between(3, cap):
         run.checked += 1
-        gt = total_domination_number(g).value
+        # gamma_t >= 2, so gamma_t = 2 iff some two vertices totally dominate.
+        two = _tdom_at_most(g, 2)
         c = g.complement()
-        if (gt == 2) != c.diameter_exceeds(2):
+        if two != c.diameter_exceeds(2):
             diam_c: float = c.diameter() if c.is_connected() else float("inf")
             run.fail(
                 g,
                 "total domination 2 iff complement diameter > 2",
-                f"total_domination={gt}, complement_diameter={diam_c}",
+                f"total_domination={_gamma_t(g)}, complement_diameter={diam_c}",
             )
     return f"connected graphs 3<=n<={cap} (disconnected complements count as infinite diameter)"
 
@@ -811,7 +840,7 @@ def _t13(run: VerifyReport, u: Universe, cap: int) -> str:
         (path(2), wagner_graph()),
     ]
     # Each factor is solved once; the caches die with this call.
-    gp, gamma, gamma_t = cache(_gp), cache(_gamma), cache(lambda g: total_domination_number(g).value)
+    gp, gamma, gamma_t = cache(_gp), cache(_gamma), cache(_gamma_t)
     for g, h in pairs + extras:
         run.checked += 1
         prod = lexicographic_product(g, h)
@@ -856,37 +885,27 @@ def _t15(run: VerifyReport, u: Universe, cap: int) -> str:
     mirrored: dict[tuple[Graph, Graph], int] = {}
     for g, h in pairs:
         run.checked += 1
-        prod = cartesian_product(g, h)
         gp_prod = mirrored.get((h, g))
         if gp_prod is None:
-            gp_prod = mirrored[g, h] = _gp(prod)
+            gp_prod = mirrored[g, h] = _gp(cartesian_product(g, h))
         gp_g = gp(g)
         gp_h = gp(h)
-        pair_tag = f"{graph6(g)} box {graph6(h)}"
+        # (the bound, what was found); the product is built only to print them
+        broken = []
         if max(gp_g, gp_h) > gp_prod:
-            run.fail(
-                prod,
-                f"{pair_tag}: max(factor power dominations) <= product power domination",
-                f"max({gp_g},{gp_h}) > {gp_prod}",
+            broken.append(
+                ("max(factor power dominations) <= product power domination", f"max({gp_g},{gp_h}) > {gp_prod}")
             )
         if is_tree(h) and gp_g * gp_h > gp_prod:
-            run.fail(
-                prod,
-                f"{pair_tag}: tree factor product lower bound",
-                f"{gp_g}*{gp_h} > {gp_prod}",
-            )
+            broken.append(("tree factor product lower bound", f"{gp_g}*{gp_h} > {gp_prod}"))
         if is_path(h) and gp_prod > gamma(g):
-            run.fail(
-                prod,
-                f"{pair_tag}: path factor bound by left domination number",
-                f"{gp_prod} > {gamma(g)}",
-            )
-        if _gamma_is_one(h) and gp_prod > z(g):
-            run.fail(
-                prod,
-                f"{pair_tag}: dominating-vertex factor bound by left zero forcing",
-                f"{gp_prod} > {z(g)}",
-            )
+            broken.append(("path factor bound by left domination number", f"{gp_prod} > {gamma(g)}"))
+        if _dom_at_most(h, 1) and gp_prod > z(g):
+            broken.append(("dominating-vertex factor bound by left zero forcing", f"{gp_prod} > {z(g)}"))
+        if broken:
+            prod = cartesian_product(g, h)
+            for bound, found in broken:
+                run.fail(prod, f"{graph6(g)} box {graph6(h)}: {bound}", found)
     return (
         f"ordered pairs of connected factors 2<=n<={cap} with product order <= 20, "
         "plus H-graph pairs"
@@ -920,7 +939,7 @@ def _pendant_path_dominatable(h: Graph) -> bool:
     edge leaves R, from an endpoint of that path, and deleting R leaves a
     graph with a dominating vertex.
     """
-    if _gamma_is_one(h):
+    if _dom_at_most(h, 1):
         return True
     full = h.full_mask
     for r in _induced_path_masks(h):
@@ -940,7 +959,7 @@ def _pendant_path_dominatable(h: Graph) -> bool:
 
 def _product_pd1_characterization(a: Graph, b: Graph, b_pendant: bool) -> bool:
     """The structural side of T16; ``b_pendant`` is ``_pendant_path_dominatable(b)``."""
-    if a.n >= 4 and b.n >= 4 and _gamma_is_one(a) and is_path(b):
+    if a.n >= 4 and b.n >= 4 and _dom_at_most(a, 1) and is_path(b):
         return True
     if is_path(a) and a.n in (2, 3) and b_pendant:
         return True
@@ -983,16 +1002,15 @@ def _t16(run: VerifyReport, u: Universe, cap: int) -> str:
             if g.n * h.n > 20:
                 continue
             run.checked += 1
-            prod = cartesian_product(g, h)
             actual = mirrored.get((h, g))
             if actual is None:
-                actual = mirrored[g, h] = _pd_at_most(prod, 1)
+                actual = mirrored[g, h] = _pd_at_most(cartesian_product(g, h), 1)
             pred = any(
                 _product_pd1_characterization(a, b, pendant(b)) for a, b in ((g, h), (h, g)) if gamma(a) <= gamma(b)
             )
             if actual != pred:
                 run.fail(
-                    prod,
+                    cartesian_product(g, h),
                     f"{graph6(g)} box {graph6(h)}: product power domination 1 "
                     f"iff the structural characterization holds ({pred})",
                     f"power_domination_1={actual}",

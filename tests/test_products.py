@@ -86,6 +86,24 @@ def test_product_layout_matches_definitions():
                 assert lex.has_edge(u, v) == (g_adj or gv == gw and h_adj)
 
 
+def test_cartesian_layout_for_left_rows_over_several_bytes():
+    # A left row spreads to the fibres one byte at a time: orders 9-20 span
+    # two or three bytes, against every fibre width of 1-6.
+    rng = random.Random(73)
+    lefts = [complete(20), path(9)] + [random_graph(rng, n, rng.random()) for n in range(9, 21)]
+    rights = [complete(6), Graph(1)] + [random_graph(rng, n, rng.random()) for n in range(1, 7)]
+    for g in lefts:
+        for h in rights:
+            # (gv, hv) sees (gv, hw) along h and (gw, hv) along g
+            rows = [
+                sum(1 << gv * h.n + hw for hw in range(h.n) if h.has_edge(hv, hw))
+                | sum(1 << gw * h.n + hv for gw in range(g.n) if g.has_edge(gv, gw))
+                for gv in range(g.n)
+                for hv in range(h.n)
+            ]
+            assert cartesian_product(g, h).adj == tuple(rows), (g, h)
+
+
 def test_products_reject_empty_operands():
     with pytest.raises(ValueError):
         cartesian_product(Graph(0), path(2))

@@ -8,7 +8,13 @@ import pytest
 from zfpd.families import MAX_BUILTIN_ORDER, MAX_TREE_ORDER, BuiltClass, build_classes, complete, cycle, enumerate_connected, h_graph, parse_graph6, path, wagner_graph, write_graph6, canonical_graph
 from zfpd import invariants, structure, theorems
 from zfpd.graph import Graph, bits, mask_of
-from zfpd.invariants import path_cover_number, power_domination_number, zero_forcing_number
+from zfpd.invariants import (
+    domination_number,
+    path_cover_number,
+    power_domination_number,
+    total_domination_number,
+    zero_forcing_number,
+)
 from zfpd.structure import is_outerplanar
 from zfpd.products import cartesian_product, lexicographic_product
 from zfpd.propagation import is_power_dominating_set
@@ -17,8 +23,12 @@ from zfpd.theorems import (
     Universe,
     VerifyReport,
     _cap,
+    _dom_at_most,
+    _gamma,
+    _gamma_t,
     _gp,
     _pd_at_most,
+    _tdom_at_most,
     _recheck_power_domination,
     _z,
     claim_of,
@@ -480,6 +490,21 @@ def test_pd_at_most_agrees_with_power_domination_number():
                 assert _pd_at_most(g, k) == (gp <= k), (write_graph6(g), k)
 
 
+def test_threshold_questions_answer_the_minima_they_replace():
+    # gamma >= gamma_P, so T3 asks whether some gamma_P vertices dominate for
+    # gamma = gamma_P; gamma_t >= 2, so T12 asks whether two vertices totally
+    # dominate for gamma_t = 2.
+    for n in range(1, 8):
+        for g in build_classes("connected", n):
+            gp, gamma = power_domination_number(g).value, domination_number(g).value
+            assert _dom_at_most(g, gp) == (gamma == gp), write_graph6(g)
+            assert _gamma(g) == gamma, write_graph6(g)
+            if n >= 2:
+                gamma_t = total_domination_number(g).value
+                assert _tdom_at_most(g, 2) == (gamma_t == 2), write_graph6(g)
+                assert _gamma_t(g) == gamma_t, write_graph6(g)
+
+
 def _t15_pairs(monkeypatch) -> list[tuple[Graph, Graph, Graph]]:
     """``(g, h, g box h)`` for every product a default T15 run builds, in order."""
     built = []
@@ -490,7 +515,9 @@ def _t15_pairs(monkeypatch) -> list[tuple[Graph, Graph, Graph]]:
 
     monkeypatch.setattr(theorems, "cartesian_product", record)
     report = verify("T15")
-    assert report.passed and report.checked == len(built)
+    # A passing run builds one product of each mirrored pair: every ordered
+    # pair is checked, and (g, g) is its own mirror.
+    assert report.passed and report.checked == 2 * len(built) - sum(g == h for g, h, _ in built)
     return built
 
 
@@ -538,6 +565,23 @@ def test_t15_solves_one_product_of_each_mirrored_pair_and_each_factor_once(monke
         assert factors and len(factors) == len(set(factors)), name
 
 
+def test_t16_builds_a_factor_pair_product_only_to_solve_or_print_it(monkeypatch):
+    built: list[tuple[Graph, Graph]] = []
+
+    def record(g, h):
+        built.append((g, h))
+        return cartesian_product(g, h)
+
+    monkeypatch.setattr(theorems, "cartesian_product", record)
+    report = verify("T16", max_n=1)  # the edge-product sweep reads K1 alone
+    factors = [theorems.shown(g) for g in Universe().between(2, 5)]
+    ordered = [(g, h) for g in factors for h in factors if g.n * h.n <= 20]
+    assert report.checked == 1 + len(ordered)
+    # one product per mirrored pair, solved once, and one per failure it prints
+    assert built[0] == (complete(1), path(2))
+    assert len(built) == 1 + len({frozenset(p) for p in ordered}) + len(report.failures)
+
+
 def test_t13_solves_each_factor_once(monkeypatch):
     built: list[Graph] = []
 
@@ -546,7 +590,7 @@ def test_t13_solves_each_factor_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(theorems, "lexicographic_product", record)
-    solved: dict[str, list[Graph]] = {"_gp": [], "_gamma": [], "total_domination_number": []}
+    solved: dict[str, list[Graph]] = {"_gp": [], "_gamma": [], "_gamma_t": []}
     for name, seen in solved.items():
         monkeypatch.setattr(theorems, name, _recording(getattr(theorems, name), seen))
     report = verify("T13")
