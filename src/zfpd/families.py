@@ -582,7 +582,12 @@ def _orbit_reps(masks: Iterable[int], gens: Sequence[tuple[int, ...]]) -> Iterat
 # 1998).  Every connected graph has a vertex whose deletion keeps it
 # connected, so attaching a new last vertex to a nonempty subset of every
 # (n-1)-class reaches every connected n-class; attaching a leaf to a vertex
-# does the same for trees.  Two subsets (or vertices) in one orbit of the
+# does the same for trees.  Each kind is one entry of ``_KINDS``: the
+# generator of its candidates, the test of whether a connected graph is of
+# the kind (``theorems.Universe`` files a graph under every kind that accepts
+# it), and the highest order built in.  The rules below serve a kind as long
+# as the canonical deletion of each of its classes leaves a class of the kind,
+# as it does for trees.  Two subsets (or vertices) in one orbit of the
 # parent's automorphism group give isomorphic children, so only the first of
 # each orbit is tried.  Each class then names one canonical deletion: among
 # the vertices whose deletion leaves it connected (for a tree, its leaves),
@@ -647,8 +652,9 @@ def _attach_leaf(adj: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> Itera
         yield tuple(rows)
 
 
-# kind -> (candidate generator, highest order built in)
-_EXTEND = {"connected": (_attach_vertex, MAX_BUILTIN_ORDER), "trees": (_attach_leaf, MAX_TREE_ORDER)}
+# kind -> (candidate generator, whether a connected graph is of the kind, highest
+# order built in); every kind holds the order-1 graph, and a new kind is one entry
+_KINDS = {"connected": (_attach_vertex, lambda g: True, MAX_BUILTIN_ORDER), "trees": (_attach_leaf, lambda g: g.m == g.n - 1, MAX_TREE_ORDER)}
 
 
 def _deletable(adj: tuple[int, ...], v: int) -> bool:
@@ -704,7 +710,7 @@ def _expand(parents: Sequence[tuple[int, ...]], kind: str) -> list[tuple[int, ..
     ``parents`` holds bare adjacencies; each one's automorphism generators,
     which prune its candidates to one per orbit, are searched for here.
     """
-    extend = _EXTEND[kind][0]
+    extend = _KINDS[kind][0]
     children = (child for adj in parents for child in extend(adj, _iso_search(adj)[1]))
     return [child for child in children if _canonical_child(child)]
 
@@ -740,13 +746,13 @@ def _slices(items: list, shards: int) -> list[list]:
 
 # (kind, order) -> classes in the labels their candidates had, sorted by
 # adjacency; filled one order at a time, and the one place a built order is kept
-_BUILT: dict[tuple[str, int], tuple[BuiltClass, ...]] = {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)}
+_BUILT: dict[tuple[str, int], tuple[BuiltClass, ...]] = {(kind, 1): (BuiltClass(1),) for kind in _KINDS}
 # (kind, order) -> the same classes in canonical labels, sorted by ``_canon`` key; filled by ``_labelled``
 _LABELLED: dict[tuple[str, int], tuple[Graph, ...]] = {}
 
 
 def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int = 1) -> tuple[BuiltClass, ...]:
-    """The ``kind`` ("connected" or "trees") classes of order ``n >= 1``, built once per process.
+    """The ``kind`` classes of order ``n >= 1``, built once per process.
 
     Each class is a ``BuiltClass`` in the labels of the candidate that its
     canonical deletion gave, and the classes are sorted by adjacency.  This
@@ -754,13 +760,13 @@ def build_classes(kind: str, n: int, pool: Executor | None = None, shards: int =
     the highest one cached, each order's shard step split ``shards`` ways
     and mapped over ``pool`` (an ``Executor``) or, without one, in this
     process.
-    The result does not depend on ``pool`` or ``shards``.  An unknown
-    ``kind``, or an order above its cap (``MAX_BUILTIN_ORDER`` or
-    ``MAX_TREE_ORDER``), is refused with ``ValueError``.
+    The result does not depend on ``pool`` or ``shards``.  A ``kind`` not
+    in ``_KINDS``, or an order above its cap there, is refused with
+    ``ValueError``.
     """
-    if kind not in _EXTEND:
-        raise ValueError(f"unknown kind {kind!r} (choose from {', '.join(_EXTEND)})")
-    top = _EXTEND[kind][1]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r} (choose from {', '.join(_KINDS)})")
+    top = _KINDS[kind][2]
     if not 1 <= n <= top:
         raise ValueError(f"built-in {kind} enumeration covers 1..{top}, not {n}")
     if (kind, n) not in _BUILT:

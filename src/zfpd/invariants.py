@@ -3,7 +3,9 @@
 Every solver searches cardinalities in ascending order and, within one
 cardinality, masks in ascending numeric order, so the returned witness is
 always the smallest-bitmask minimum set.  The four set-valued solvers share
-one ascending size loop, ``_minimum``.  Zero forcing, domination and total
+one ascending size loop, ``_minimum``, over one ``find_*`` entry each, which
+answers one size with its smallest-bitmask set; ``theorems``' threshold
+questions call the same entries.  Zero forcing, domination and total
 domination take a keyword ``at_least``, a lower bound the caller has
 already proved (``zfpd compute`` passes P <= Z, gamma_P <= Z, gamma_P <=
 gamma and gamma <= gamma_t), and start there on graphs of at most 22
@@ -91,6 +93,8 @@ __all__ = [
     "is_spider",
     "find_zero_forcing_set",
     "find_power_dominating_set",
+    "find_dominating_set",
+    "find_total_dominating_set",
 ]
 
 _PATH_COVER_CAP = 24
@@ -277,6 +281,16 @@ def find_power_dominating_set(g: Graph, k: int) -> Optional[int]:
     return _first_subset(g, _closed_rows(g), k, True, "power domination")
 
 
+def find_dominating_set(g: Graph, k: int) -> Optional[int]:
+    """Smallest-bitmask dominating set of size exactly ``k``, if one exists."""
+    return _first_subset(g, _closed_rows(g), k, False, "domination")
+
+
+def find_total_dominating_set(g: Graph, k: int) -> Optional[int]:
+    """Smallest-bitmask total dominating set of size exactly ``k``, if one exists."""
+    return _first_subset(g, g.adj, k, False, "total domination")
+
+
 def _minimum(g: Graph, find: Callable[[Graph, int], Optional[W]], lo: int, at_least: int = 0) -> tuple[int, W]:
     """Smallest ``k >= lo`` for which ``find(g, k)`` finds a witness, and that witness.
 
@@ -323,8 +337,7 @@ def domination_number(g: Graph, *, at_least: int = 1) -> ParamResult:
     number of ``g``, used as in ``zero_forcing_number``.
     """
     _require_connected(g)
-    rows = _closed_rows(g)
-    k, m = _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1, at_least)
+    k, m = _minimum(g, find_dominating_set, 1, at_least)
     return ParamResult(k, m)
 
 
@@ -338,7 +351,7 @@ def total_domination_number(g: Graph, *, at_least: int = 2) -> ParamResult:
     if g.n == 1:
         raise ValueError("total domination needs at least two vertices")
     # No vertex neighbors itself, so a single vertex never totally dominates.
-    k, m = _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2, at_least)
+    k, m = _minimum(g, find_total_dominating_set, 2, at_least)
     return ParamResult(k, m)
 
 

@@ -33,9 +33,10 @@ T9 and T12 take full k-subset minima (T9 only when it reports a failure or
 a witness), so they stop at the largest order at which the subset searches
 refuse no size, and T16 takes them on products with an edge, of twice the
 order, so it stops at half that order.  Every other verifier is limited
-only by its universe, whose built-in orders stop where ``families`` says.
-A file covers an order only for the kinds of graph it holds there, which
-``Universe`` records once, when it reads the files.
+only by its universe, whose built-in orders stop at the cap that
+``families._KINDS`` gives the kind it sweeps.  A file covers an order only
+for the kinds of graph it holds there, which ``Universe`` records once, when
+it reads the files, by each kind's test in ``families._KINDS``.
 
 A graph's type decides how a report prints it, and no universe is asked.
 A built-in order holds ``families.BuiltClass`` graphs, in the labels their
@@ -88,7 +89,7 @@ from .graph import Graph, bits, is_path, is_tree
 # attributes: perfbench/tracer.py wraps theorems.enumerate_connected and
 # theorems.enumerate_trees.
 from .families import (  # noqa: F401
-    _EXTEND,
+    _KINDS,
     BuiltClass,
     build_classes,
     canonical_graph,
@@ -112,13 +113,13 @@ from .invariants import (  # noqa: F401
     _FULL_SWEEP_CAP,
     _PATH_COVER_CAP,
     _SPIDER_CAP,
-    _closed_rows,
-    _first_subset,
     _induced_path_masks,
     _minimum,
     _path_cover_at_most,
     domination_number,
+    find_dominating_set,
     find_power_dominating_set,
+    find_total_dominating_set,
     find_zero_forcing_set,
     is_spider,
     path_cover_number,
@@ -181,12 +182,13 @@ class Universe:
     """Graph supply for the verifiers: built-in enumeration plus optional files.
 
     A graph6 file (one encoding per line, ``#`` comments allowed) supplies
-    the graphs of each kind it holds: its connected graphs replace the
-    built-in connected graphs of their order, and its trees replace the
-    built-in trees of theirs, which is how orders beyond the built-in cap
-    reach the harness.  An order a file holds no graph of that kind for,
-    such as order 13 for the trees when the file holds only the 13-cycle,
-    still comes from the built-in enumeration: ``families.build_classes``'s
+    the graphs of each kind it holds: each connected graph is filed under
+    every kind of ``families._KINDS`` whose test accepts it, so its connected
+    graphs replace the built-in connected graphs of their order, and its
+    trees replace the built-in trees of theirs, which is how orders beyond
+    the built-in cap reach the harness.  An order a file holds no graph of
+    that kind for, such as order 13 for the trees when the file holds only
+    the 13-cycle, still comes from the built-in enumeration: ``families.build_classes``'s
     tuple of ``BuiltClass`` graphs.  A universe only supplies graphs: how a
     report writes one follows from its type (``graph6``).  Files are parsed
     and filtered here, once: graphs that are not connected, the order-0
@@ -203,10 +205,10 @@ class Universe:
     """
 
     def __init__(self, files: Iterable[str] = ()) -> None:
-        held: dict[str, dict[int, dict[Graph, None]]] = {"connected": {}, "trees": {}}
+        held: dict[str, dict[int, dict[Graph, None]]] = {kind: {} for kind in _KINDS}
         # kind -> the orders files supply for it -> their file names; read by
         # source and has_file_for, and fixed once the files are read
-        self._names: dict[str, dict[int, dict[str, None]]] = {"connected": {}, "trees": {}}
+        self._names: dict[str, dict[int, dict[str, None]]] = {kind: {} for kind in _KINDS}
         for fname in files:
             # latin-1 decodes every byte, so a stray one is reported with its file and line.
             with open(fname, encoding="latin-1") as fh:
@@ -217,19 +219,21 @@ class Universe:
             base = os.path.basename(fname)
             for g in graphs:
                 if g.n and g.is_connected():  # is_connected refuses the order-0 graph
-                    # a connected graph with n - 1 edges is a tree
-                    for kind in ("connected", "trees") if g.m == g.n - 1 else ("connected",):
-                        held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
-                        self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
+                    for kind, (_, holds, _) in _KINDS.items():
+                        if holds(g):
+                            held[kind].setdefault(g.n, {})[g] = None  # a repeated graph is kept once
+                            self._names[kind].setdefault(g.n, {})[base] = None  # insertion-ordered set
         # kind -> order -> its graphs: the file orders, and in a part also the built ones it ships
         self._orders = {kind: {n: tuple(gs) for n, gs in orders.items()} for kind, orders in held.items()}
 
     def part(self, kind: str | None, top: int) -> Universe:
         """A copy holding only what a verifier of ``kind`` reads up to ``top``.
 
-        It holds that kind's orders ``1..top``, built ones included, and its
-        file orders, so a pool job needs no build and is sent no order its
-        verifier never reads.
+        It holds that kind's orders ``1..top``, built ones included, so a
+        pool job needs no build up to ``top``, and every file order of the
+        kind, even one above ``top``: a verifier may read past its cap (T4
+        reads orders 1..6 whatever its cap), and an order a file covers must
+        come from the file there too.  The other kinds' orders are left out.
         """
         view = copy.copy(self)
         view._orders = {name: {} for name in self._orders}
@@ -255,7 +259,7 @@ class Universe:
         return ", ".join(self._names["connected"].get(n, ["built-in"]))
 
     def has_file_for(self, kind: str, n: int) -> bool:
-        """True iff a file supplies graphs of ``kind`` ("connected" or "trees") at order ``n``."""
+        """True iff a file supplies graphs of ``kind`` (a key of ``families._KINDS``) at order ``n``."""
         return n in self._names[kind]
 
 
@@ -274,7 +278,7 @@ def graph6(g: Graph) -> str:
 
 
 # The minima return values only: unlike the public solvers they build no
-# force log and do not test connectivity.  ``_gp`` and ``_z`` look their
+# force log and do not test connectivity.  They and the thresholds look their
 # searches up here, at call time, so a rebound ``theorems.find_*`` sees every
 # call.  A threshold ("at most k") is one subset search, not a minimum.
 def _gp(g: Graph) -> int:
@@ -286,13 +290,12 @@ def _z(g: Graph) -> int:
 
 
 def _gamma(g: Graph) -> int:
-    rows = _closed_rows(g)
-    return _minimum(g, lambda g, k: _first_subset(g, rows, k, False, "domination"), 1)[0]
+    return _minimum(g, find_dominating_set, 1)[0]
 
 
 def _gamma_t(g: Graph) -> int:
     # No vertex neighbours itself, so no single vertex totally dominates.
-    return _minimum(g, lambda g, k: _first_subset(g, g.adj, k, False, "total domination"), 2)[0]
+    return _minimum(g, find_total_dominating_set, 2)[0]
 
 
 def _pd_at_most(g: Graph, k: int) -> bool:
@@ -307,11 +310,11 @@ def _zf_exists(g: Graph, k: int) -> bool:
 # A superset of a dominating or totally dominating set is one too, so for
 # k <= n the sets of size exactly k answer "at most k".
 def _dom_at_most(g: Graph, k: int) -> bool:
-    return _first_subset(g, _closed_rows(g), k, False, "domination") is not None
+    return find_dominating_set(g, k) is not None
 
 
 def _tdom_at_most(g: Graph, k: int) -> bool:
-    return _first_subset(g, g.adj, k, False, "total domination") is not None
+    return find_total_dominating_set(g, k) is not None
 
 
 def _twin_free(g: Graph) -> bool:
@@ -323,8 +326,8 @@ def _twin_free(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # registry
 
-# tid -> (claim, default cap, own cap, the universe the verifier reads:
-# "connected", "trees" or None, the verifier).  The own cap is the
+# tid -> (claim, default cap, own cap, the universe the verifier reads: a
+# kind of ``families._KINDS`` or None, the verifier).  The own cap is the
 # verifier's limit or the order cap of a solver it calls, imported from that
 # solver's module (T9 and T16 take full power domination minima, T16 on
 # products of twice the order), and no file lifts it; None leaves only the
@@ -355,8 +358,8 @@ def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
     it is the verifier's limit or the order cap of a solver it calls, so a
     run the solver would refuse partway through is refused here instead.
     A verifier that reads the universe also stops at the built-in
-    enumeration limit of the kind it sweeps (``families._EXTEND``, which
-    ``build_classes`` enforces), unless files hold graphs of that kind at
+    enumeration limit of the kind it sweeps (its cap in ``families._KINDS``,
+    which ``build_classes`` enforces), unless files hold graphs of that kind at
     every order above the limit.  It reads only the registry and the file
     orders, so a caller can refuse a run with it before anything is built.
     """
@@ -369,7 +372,7 @@ def _cap(tid: str, max_n: int | None, universe: Universe) -> int:
         raise ValueError(f"max_n must be at least 1, got {cap}")
     if own_cap is not None and cap > own_cap:
         raise ValueError(f"{tid} is capped at max_n={own_cap}; no universe file lifts it")
-    limit = _EXTEND[sweeps][1] if sweeps else cap
+    limit = _KINDS[sweeps][2] if sweeps else cap
     if not all(universe.has_file_for(sweeps, n) for n in range(limit + 1, cap + 1)):
         raise ValueError(f"{tid} is capped at max_n={limit} without a universe file")
     return cap
@@ -407,7 +410,7 @@ def prepare(universe: Universe, ids: list[str], max_n: int | None, pool: Executo
     """
     caps = [_cap(tid, max_n, universe) for tid in ids]
     kinds = [_REGISTRY[tid][3] for tid in ids]
-    for kind in ("connected", "trees"):
+    for kind in _KINDS:
         reads = max((cap for sweeps, cap in zip(kinds, caps) if sweeps == kind), default=0)
         top = max((n for n in range(1, reads + 1) if not universe.has_file_for(kind, n)), default=0)
         if top:

@@ -10,7 +10,7 @@ import pytest
 from zfpd.graph import Graph
 import zfpd.families as families
 from zfpd.families import (
-    _EXTEND,
+    _KINDS,
     MAX_BUILTIN_ORDER,
     MAX_TREE_ORDER,
     _attach_leaf,
@@ -466,7 +466,7 @@ def test_refining_against_split_cells_keeps_keys_generators_and_leaf_orders(monk
     # every orbit-pruned candidate of orders 2..7
     graphs = [
         child
-        for kind, (extend, _) in _EXTEND.items()
+        for kind, (extend, _, _) in _KINDS.items()
         for n in range(1, 7)
         for g in build_classes(kind, n)
         for child in extend(g.adj, _iso_search(g.adj)[1])
@@ -500,7 +500,7 @@ def test_filtered_tie_only_build_keeps_what_the_full_search_kept():
     # representative that the invariant does not reject.
     rng = random.Random(30)
     for kind, top in (("connected", 6), ("trees", 9)):
-        extend = _EXTEND[kind][0]
+        extend = _KINDS[kind][0]
         for n in range(1, top + 1):
             for g in build_classes(kind, n):
                 for adj in (g.adj, _relabeled(g, rng).adj):
@@ -509,9 +509,18 @@ def test_filtered_tie_only_build_keeps_what_the_full_search_kept():
 
 
 def test_built_class_counts_match_oeis():
-    assert {kind: len(counts) for kind, counts in BUILT_COUNTS.items()} == {kind: top for kind, (_, top) in _EXTEND.items()}
+    assert {kind: len(counts) for kind, counts in BUILT_COUNTS.items()} == {kind: top for kind, (_, _, top) in _KINDS.items()}
     for kind, counts in BUILT_COUNTS.items():
         assert [len(build_classes(kind, n)) for n in range(1, len(counts) + 1)] == counts, kind
+
+
+def test_each_kind_builds_the_connected_classes_its_test_accepts():
+    # The test is how a universe file's graphs are filed under a kind, so a
+    # kind's built orders and its file orders hold the same kind of graph.
+    for kind, (_, holds, top) in _KINDS.items():
+        for n in range(1, min(top, 7) + 1):
+            accepted = {_iso_key(g.adj) for g in build_classes("connected", n) if holds(g)}
+            assert {_iso_key(g.adj) for g in build_classes(kind, n)} == accepted, (kind, n)
 
 
 def test_order_8_classes_are_the_classes_of_the_checked_in_universe_file():
@@ -527,7 +536,7 @@ def test_pool_build_equals_the_serial_build(monkeypatch):
     serial_trees = [build_classes("trees", n) for n in range(1, 9)]
     # An empty cache, so the orders are built again, through the pool, whose
     # workers search for every parent's generators themselves.
-    monkeypatch.setattr(families, "_BUILT", {("connected", 1): (BuiltClass(1),), ("trees", 1): (BuiltClass(1),)})
+    monkeypatch.setattr(families, "_BUILT", {(kind, 1): (BuiltClass(1),) for kind in _KINDS})
     with ProcessPoolExecutor(max_workers=2) as pool:
         build_classes("connected", 7, pool, 2)
         build_classes("trees", 8, pool, 2)
